@@ -2,7 +2,7 @@
 //
 // Builds the paper's partition tree once and answers two classic spatial
 // workloads against it — "all points within r of q" (the Lemma 6.3
-// reachability march) and "k nearest to q" (expanding-radius search) —
+// reachability march) and "k nearest to q" (one nearer-child-first pass) —
 // comparing throughput and answers against a linear scan and a kd-tree.
 //
 //   ./radius_search --n=100000 --queries=5000 --radius=0.01

@@ -11,10 +11,11 @@
 // traverse in preorder or level order, both of which are fully determined
 // by the logical tree shape.
 //
-// The §6 Fast Correction ball-march (Lemma 6.3) and the SeparatorIndex
-// queries are level-synchronous walks over this structure; the flat
-// layout keeps them cache-friendly and lets frontiers be plain vectors of
-// 32-bit ids instead of pointer chases.
+// The §6 Fast Correction ball-march (Lemma 6.3) is a level-synchronous
+// walk over this structure and the SeparatorIndex queries are
+// explicit-stack walks; the flat layout keeps them cache-friendly and
+// lets frontiers and stacks be plain vectors of 32-bit ids instead of
+// pointer chases.
 //
 // Storage is an arena::ArenaVec<Node>: heap-owned while a build mutates
 // it, or a borrowed view over an mmap-ed snapshot section (adopt()), in

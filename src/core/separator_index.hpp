@@ -3,18 +3,17 @@
 // The §6 algorithm's partition tree is useful beyond the all-k-NN
 // computation it was built for: marching a query ball down the tree
 // (exactly the Fast Correction reachability of Lemma 6.3) enumerates
-// every point within a radius, and an expanding-radius march answers
+// every point within a radius, and one nearer-child-first descent with
+// far-side pruning (the §3 search structure's single pass) answers
 // k-nearest-neighbor queries for arbitrary query points. This class
 // packages that as a queryable index — the thing a downstream user
 // actually wants from a "sphere separator" library.
 //
 // The tree is an arena-backed PartitionForest: one contiguous node
 // vector with 32-bit child indices, built with atomic bump allocation
-// under the parallel recursion. Single queries walk the flat nodes with
-// an explicit stack; the batched entry points (batch_radius, batch_knn)
-// serve many queries at once — batch_radius marches the whole query set
-// level-synchronously down the forest with parallel_for, which is the
-// serving-shaped access pattern the flat layout exists for.
+// under the parallel recursion. Queries walk the flat nodes with an
+// explicit stack; the batched entry points (batch_radius, batch_knn)
+// run the single queries in parallel over disjoint result rows.
 //
 // Guarantees are exact (not approximate): a leaf is reachable by a ball
 // B whenever B could intersect the leaf's region, so every point inside
@@ -31,7 +30,6 @@
 #include "core/config.hpp"
 #include "core/partition_forest.hpp"
 #include "core/separator_search.hpp"
-#include "geometry/aabb.hpp"
 #include "geometry/ball.hpp"
 #include "geometry/point.hpp"
 #include "knn/block_store.hpp"
@@ -71,10 +69,6 @@ class SeparatorIndex {
     SEPDC_CHECK_MSG(!points.empty(), "index over empty point set");
     for (std::size_t i = 0; i < perm_.size(); ++i)
       perm_[i] = static_cast<std::uint32_t>(i);
-    auto box = geo::Aabb<D>::empty();
-    for (const auto& p : points_) box.expand(p);
-    diameter_ = std::max(box.extent() * std::sqrt(double(D)), 1e-300);
-    bbox_center_ = box.center();
     Rng rng(cfg.seed);
     std::uint32_t root =
         build(0, static_cast<std::uint32_t>(points.size()), rng, 0, pool);
@@ -89,9 +83,7 @@ class SeparatorIndex {
   // Relocated storage for the zero-copy snapshot load path
   // (io/snapshot_file.hpp): every span — typically an mmap-ed file
   // section that must outlive the index — carries exactly the arrays a
-  // built index owns on the heap, plus the derived scalars the queries
-  // need (recomputing them would touch every point, which defeats
-  // page-on-demand loading).
+  // built index owns on the heap.
   struct Relocated {
     std::span<const geo::Point<D>> points;
     std::span<const std::uint32_t> perm;
@@ -102,8 +94,6 @@ class SeparatorIndex {
     std::span<const std::uint8_t> block_lanes;
     std::uint32_t root = kNoChild;
     SeparatorIndexConfig cfg;
-    double diameter = 1.0;
-    geo::Point<D> bbox_center{};
   };
 
   // Adopts relocated storage without building: the views are served
@@ -144,8 +134,6 @@ class SeparatorIndex {
     index.blocks_ = knn::PointBlockStore<D>::adopt(
         r.block_coords, r.block_ids, r.block_lanes);
     index.cfg_ = r.cfg;
-    index.diameter_ = r.diameter;
-    index.bbox_center_ = r.bbox_center;
     return index;
   }
 
@@ -156,8 +144,8 @@ class SeparatorIndex {
 
   // Const snapshot view: the indexed points (in input order) and the
   // build configuration. A service that publishes this index as an
-  // immutable snapshot uses these to derive fallback structures and to
-  // rebuild a successor generation without retaining the input.
+  // immutable snapshot uses these to persist it and to rebuild a
+  // successor generation without retaining the input.
   std::span<const geo::Point<D>> points() const { return points_.span(); }
   const SeparatorIndexConfig& config() const { return cfg_; }
 
@@ -167,15 +155,12 @@ class SeparatorIndex {
     return leaf_blocks_.span();
   }
   const knn::PointBlockStore<D>& blocks() const { return blocks_; }
-  double diameter() const { return diameter_; }
-  const geo::Point<D>& bbox_center() const { return bbox_center_; }
 
   // Invokes fn(id, dist2) for every indexed point with
-  // distance(point, center) <= radius (closed ball). This is the shared
-  // radius-boundary contract (docs/kernels.md): knn::KdTree — the
-  // service's punt fallback — implements the identical closed-ball
-  // semantics via the same kernels::filter_closed_ball, so boundary
-  // points can never differ between the batched and punted paths.
+  // distance(point, center) <= radius (closed ball). This is the
+  // radius-boundary contract (docs/kernels.md), decided by
+  // kernels::filter_closed_ball; knn::KdTree, the test oracle, keeps the
+  // identical semantics.
   template <class Fn>
   void for_each_in_ball(const geo::Point<D>& center, double radius,
                         Fn fn) const {
@@ -201,39 +186,58 @@ class SeparatorIndex {
     return count;
   }
 
-  // Exact k nearest neighbors of an arbitrary query point by expanding
-  // fixed-radius searches: start from the leaf that contains q (its
-  // diameter calibrates the initial radius) and double until k points
-  // are found *and* the k-th distance is within the searched radius.
-  // `exclude` skips one point id (self-queries).
+  // Exact k nearest neighbors of an arbitrary query point in one pass
+  // over the flat forest: descend to the child q classifies into, push
+  // the far child, and offer every reached leaf to the TopK. A far child
+  // is visited only while the ball of the current k-th distance still
+  // reaches across its parent's separator; tangency counts as Cut (the
+  // separator's margin), so a far point tying the k-th distance is still
+  // offered and the (dist2, id) tie-break sees it. `exclude` skips one
+  // point id (self-queries).
   knn::TopK knn(const geo::Point<D>& q, std::size_t k,
-                std::uint32_t exclude = 0xffffffffu) const {
+                std::uint32_t exclude = kNoExclude) const {
     knn::TopK best(k);
     if (k == 0) return best;
-    // A ball of this radius is guaranteed to contain every indexed point.
-    double cover = geo::distance(q, bbox_center_) + diameter_;
-    double radius = std::min(initial_radius(q), cover);
-    for (int round = 0; round < 128; ++round) {
-      best = knn::TopK(k);
-      for_each_in_ball(q, radius, [&](std::uint32_t id, double d2) {
-        if (id != exclude) best.offer(d2, id);
-      });
-      if (best.full() && best.worst_dist2() <= radius * radius) return best;
-      if (radius >= cover) return best;  // the whole data set was scanned
-      radius = radius > 0.0 ? std::min(radius * 2.0, cover)
-                            : diameter_ * 1e-9;
+    struct Pending {
+      std::uint32_t node;
+      std::uint32_t parent;  // kNoChild for the root
+      geo::Region near;      // q's side of the parent's separator
+    };
+    std::vector<Pending> stack{{forest_.root_id(), kNoChild,
+                                geo::Region::Cut}};
+    while (!stack.empty()) {
+      const Pending p = stack.back();
+      stack.pop_back();
+      if (p.parent != kNoChild && best.full()) {
+        geo::Ball<D> ball{q, std::sqrt(best.worst_dist2())};
+        if (forest_.node(p.parent).separator.classify(ball) == p.near)
+          continue;
+      }
+      std::uint32_t id = p.node;
+      while (!forest_.node(id).is_leaf()) {
+        const ForestNode<D>& node = forest_.node(id);
+        if (node.separator.classify(q) == geo::Side::Inner) {
+          stack.push_back({node.outer, id, geo::Region::Inner});
+          id = node.inner;
+        } else {
+          stack.push_back({node.inner, id, geo::Region::Outer});
+          id = node.outer;
+        }
+      }
+      blocks_.scan(leaf_blocks_[id], q,
+                   [&](const double* dist2s, const std::uint32_t* ids,
+                       std::size_t lanes) {
+                     best.offer_block(dist2s, ids, lanes, exclude);
+                   });
     }
     return best;
   }
 
   // --------------------------------------------------- batched queries
 
-  // Fixed-radius search for a whole batch of queries at once. All query
-  // balls march down the flat tree level-synchronously: each level's
-  // (query, node) frontier is classified with one parallel_for sweep,
-  // reached leaves are grouped by query, and the leaf scans run in
-  // parallel over disjoint per-query result rows. Output order and
-  // content are deterministic (independent of the worker schedule).
+  // Fixed-radius search for a whole batch of queries, parallel over
+  // disjoint result rows; each row is one for_each_in_ball march, so
+  // row content and order are independent of the worker schedule.
   // Returns, per query, the (point id, dist2) pairs within the closed
   // ball of `radius`.
   std::vector<std::vector<std::pair<std::uint32_t, double>>> batch_radius(
@@ -241,100 +245,23 @@ class SeparatorIndex {
       double radius) const {
     std::vector<std::vector<std::pair<std::uint32_t, double>>> out(
         queries.size());
-    if (radius < 0.0 || queries.empty()) return out;
-    const double r2 = radius * radius;
-
-    struct Visit {
-      std::uint32_t query;
-      std::uint32_t node;
-    };
-    std::vector<Visit> frontier(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      frontier[i] = {static_cast<std::uint32_t>(i), forest_.root_id()};
-
-    std::vector<Visit> leaf_visits;
-    std::vector<Visit> next;
-    constexpr std::size_t kClassifyGrain = 512;
-    while (!frontier.empty()) {
-      // Chunked classification: every chunk expands into its own buffer,
-      // buffers are concatenated in chunk order, so the next frontier is
-      // schedule-independent.
-      const std::size_t chunks = std::max<std::size_t>(
-          1, std::min<std::size_t>(
-                 (frontier.size() + kClassifyGrain - 1) / kClassifyGrain,
-                 pool.concurrency() * 4));
-      const std::size_t chunk_len = (frontier.size() + chunks - 1) / chunks;
-      std::vector<std::vector<Visit>> next_parts(chunks);
-      std::vector<std::vector<Visit>> leaf_parts(chunks);
-      par::parallel_for(
-          pool, 0, chunks,
-          [&](std::size_t c) {
-            const std::size_t lo = c * chunk_len;
-            const std::size_t hi =
-                std::min(frontier.size(), lo + chunk_len);
-            for (std::size_t f = lo; f < hi; ++f) {
-              const Visit v = frontier[f];
-              const ForestNode<D>& node = forest_.node(v.node);
-              if (node.is_leaf()) {
-                leaf_parts[c].push_back(v);
-                continue;
-              }
-              geo::Ball<D> ball{queries[v.query], radius};
-              geo::Region region = node.separator.classify(ball);
-              if (region != geo::Region::Outer)
-                next_parts[c].push_back({v.query, node.inner});
-              if (region != geo::Region::Inner)
-                next_parts[c].push_back({v.query, node.outer});
-            }
-          },
-          /*grain=*/1);
-      next.clear();
-      for (std::size_t c = 0; c < chunks; ++c) {
-        next.insert(next.end(), next_parts[c].begin(), next_parts[c].end());
-        leaf_visits.insert(leaf_visits.end(), leaf_parts[c].begin(),
-                           leaf_parts[c].end());
-      }
-      frontier.swap(next);
-    }
-
-    // Group reached leaves by query (stable counting sort), then scan
-    // each query's leaves in parallel — rows are disjoint, no locking.
-    std::vector<std::uint32_t> offsets(queries.size() + 1, 0);
-    for (const Visit& v : leaf_visits) ++offsets[v.query + 1];
-    for (std::size_t q = 0; q < queries.size(); ++q)
-      offsets[q + 1] += offsets[q];
-    std::vector<std::uint32_t> grouped_leaves(leaf_visits.size());
-    {
-      std::vector<std::uint32_t> cursor(offsets.begin(),
-                                        offsets.end() - 1);
-      for (const Visit& v : leaf_visits)
-        grouped_leaves[cursor[v.query]++] = v.node;
-    }
     par::parallel_for(
         pool, 0, queries.size(),
-        [&](std::size_t q) {
-          for (std::uint32_t g = offsets[q]; g < offsets[q + 1]; ++g) {
-            blocks_.scan(
-                leaf_blocks_[grouped_leaves[g]], queries[q],
-                [&](const double* dist2s, const std::uint32_t* ids,
-                    std::size_t lanes) {
-                  knn::kernels::filter_closed_ball(
-                      dist2s, ids, lanes, r2,
-                      [&](std::uint32_t id, double d2) {
-                        out[q].emplace_back(id, d2);
-                      });
-                });
-          }
+        [&](std::size_t i) {
+          for_each_in_ball(queries[i], radius,
+                           [&](std::uint32_t id, double d2) {
+                             out[i].emplace_back(id, d2);
+                           });
         },
-        /*grain=*/16);
+        /*grain=*/8);
     return out;
   }
 
   // Exact k-NN for a batch of queries, parallel over disjoint result
-  // rows; each query runs the expanding-radius search over the flat
-  // tree. Returns, per query, the neighbors sorted by distance. When
-  // `exclude` is non-empty it must have one point id per query (or
-  // kNoExclude) to skip — the all-k-NN self-exclusion shape.
+  // rows; each query is one single-pass knn(). Returns, per query, the
+  // neighbors sorted by distance. When `exclude` is non-empty it must
+  // have one point id per query (or kNoExclude) to skip — the all-k-NN
+  // self-exclusion shape.
   std::vector<std::vector<knn::TopK::Entry>> batch_knn(
       par::ThreadPool& pool, std::span<const geo::Point<D>> queries,
       std::size_t k, std::span<const std::uint32_t> exclude = {}) const {
@@ -454,23 +381,6 @@ class SeparatorIndex {
     }
   }
 
-  // Radius seed for expanding k-NN: the spacing scale of the leaf that
-  // the query point lands in.
-  double initial_radius(const geo::Point<D>& q) const {
-    const ForestNode<D>* node = &forest_.root();
-    while (!node->is_leaf()) {
-      node = &forest_.node(node->separator.classify(q) == geo::Side::Inner
-                               ? node->inner
-                               : node->outer);
-    }
-    auto box = geo::Aabb<D>::empty();
-    box.expand(q);
-    for (std::uint32_t i = node->begin; i < node->end; ++i)
-      box.expand(points_[perm_[i]]);
-    double extent = box.extent();
-    return extent > 0.0 ? extent : diameter_ * 1e-6;
-  }
-
   SeparatorIndex() = default;  // adopt() fills the members in
 
   arena::ArenaVec<geo::Point<D>> points_;
@@ -480,8 +390,6 @@ class SeparatorIndex {
   knn::PointBlockStore<D> blocks_;          // leaf payloads, perm_ order
   // Indexed by forest node id.
   arena::ArenaVec<knn::BlockRange> leaf_blocks_;
-  double diameter_ = 1.0;
-  geo::Point<D> bbox_center_{};
 };
 
 }  // namespace sepdc::core

@@ -4,12 +4,8 @@
 // algorithm (the paper's work benchmark): building the tree and answering
 // one k-NN query per point gives the k-neighborhood system in O(kn log n)
 // expected time for fixed d. It also serves as a fast oracle for tests at
-// sizes where brute force is too slow.
-// Storage (points, ids, nodes, leaf blocks) lives in arena::ArenaVec
-// arrays: heap-owned when built, or borrowed views over mmap-ed snapshot
-// sections (adopt()) so a loaded fallback tree serves queries straight
-// out of the file mapping. Node layout is pinned — the disk format
-// (docs/persistence.md) depends on it.
+// sizes where brute force is too slow, and as the exact k-NN baseline
+// the index-query experiments measure against.
 #pragma once
 
 #include <algorithm>
@@ -36,19 +32,6 @@ class KdTree {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  // Public because it is a snapshot record (io/snapshot_file.hpp writes
-  // the node arena raw); the fields are internal detail regardless.
-  struct Node {
-    geo::Aabb<D> box;
-    std::uint32_t left = kNone;
-    std::uint32_t right = kNone;
-    std::uint32_t begin = 0;  // leaf payload range in ids_
-    std::uint32_t end = 0;
-    // Leaf payload as SoA blocks (see pack_leaf_blocks).
-    BlockRange blocks;
-    bool is_leaf() const { return left == kNone; }
-  };
-
   // Builds over a copy of the point span. `leaf_size` caps leaf occupancy.
   explicit KdTree(std::span<const geo::Point<D>> points,
                   std::size_t leaf_size = 16)
@@ -67,61 +50,6 @@ class KdTree {
     }
   }
 
-  // Relocated storage for the zero-copy snapshot load path: every span —
-  // typically an mmap-ed file section that must outlive the tree —
-  // carries exactly the arrays a built tree owns on the heap.
-  struct Relocated {
-    std::span<const geo::Point<D>> points;
-    std::span<const std::uint32_t> ids;
-    std::span<const Node> nodes;
-    std::span<const double> block_coords;
-    std::span<const std::uint32_t> block_ids;
-    std::span<const std::uint8_t> block_lanes;
-    std::uint32_t root = kNone;
-    std::size_t leaf_size = 16;
-  };
-
-  // Adopts relocated storage without building: the views are served
-  // as-is. Structural bounds (child/payload ranges) are validated up
-  // front so a corrupt mapping fails here, not mid-query.
-  static KdTree adopt(const Relocated& r) {
-    KdTree t;
-    SEPDC_CHECK_MSG(r.ids.size() == r.points.size(),
-                    "KdTree::adopt: ids/points size mismatch");
-    SEPDC_CHECK_MSG(r.points.empty() ||
-                        (!r.nodes.empty() && r.root < r.nodes.size()),
-                    "KdTree::adopt: root outside the node arena");
-    const std::uint32_t nnodes = static_cast<std::uint32_t>(r.nodes.size());
-    const std::uint32_t nblocks =
-        static_cast<std::uint32_t>(r.block_lanes.size());
-    for (const Node& n : r.nodes) {
-      SEPDC_CHECK_MSG(n.begin <= n.end && n.end <= r.ids.size(),
-                      "KdTree::adopt: node payload range out of bounds");
-      SEPDC_CHECK_MSG(n.blocks.begin <= n.blocks.end &&
-                          n.blocks.end <= nblocks,
-                      "KdTree::adopt: node block range out of bounds");
-      if (!n.is_leaf())
-        SEPDC_CHECK_MSG(n.left < nnodes && n.right < nnodes,
-                        "KdTree::adopt: child index out of bounds");
-    }
-    t.points_ = arena::ArenaVec<geo::Point<D>>::view_of(r.points);
-    t.ids_ = arena::ArenaVec<std::uint32_t>::view_of(r.ids);
-    t.nodes_ = arena::ArenaVec<Node>::view_of(r.nodes);
-    t.blocks_ = PointBlockStore<D>::adopt(r.block_coords, r.block_ids,
-                                          r.block_lanes);
-    t.root_ = r.root;
-    t.leaf_size_ = std::max<std::size_t>(r.leaf_size, 1);
-    return t;
-  }
-
-  // Storage accessors — what snapshot save writes.
-  std::span<const geo::Point<D>> points() const { return points_.span(); }
-  std::span<const std::uint32_t> ids() const { return ids_.span(); }
-  std::span<const Node> nodes() const { return nodes_.span(); }
-  const PointBlockStore<D>& blocks() const { return blocks_; }
-  std::uint32_t root_id() const { return root_; }
-  std::size_t leaf_size() const { return leaf_size_; }
-
   std::size_t size() const { return points_.size(); }
 
   // k nearest neighbors of an arbitrary query point. When `exclude` is a
@@ -136,9 +64,9 @@ class KdTree {
   // Invokes fn(id, dist2) for every point inside the *closed* ball:
   // distance(point, center) <= radius. Same contract as
   // SeparatorIndex::for_each_in_ball (docs/kernels.md "closed-ball
-  // contract"), so a query answered by this fallback structure returns
-  // byte-identical boundary points to the batched index path. A radius of
-  // exactly 0 therefore finds points coincident with the center.
+  // contract"), so as an oracle it returns byte-identical boundary points
+  // to the index path. A radius of exactly 0 therefore finds points
+  // coincident with the center.
   template <class Fn>
   void for_each_in_ball(const geo::Point<D>& center, double radius,
                         Fn fn) const {
@@ -171,7 +99,16 @@ class KdTree {
   std::size_t node_count() const { return nodes_.size(); }
 
  private:
-  KdTree() = default;  // adopt() fills the members in
+  struct Node {
+    geo::Aabb<D> box;
+    std::uint32_t left = kNone;
+    std::uint32_t right = kNone;
+    std::uint32_t begin = 0;  // leaf payload range in ids_
+    std::uint32_t end = 0;
+    // Leaf payload as SoA blocks (see pack_leaf_blocks).
+    BlockRange blocks;
+    bool is_leaf() const { return left == kNone; }
+  };
 
   // Re-packs every leaf's payload into the SoA block store so leaf scans
   // run through the batched kernels instead of per-point AoS gathers.
@@ -275,13 +212,5 @@ class KdTree {
   std::uint32_t root_ = kNone;
   metrics::Histogram* scan_hist_ = nullptr;
 };
-
-// Layout pins (docs/persistence.md): KdTree<D>::Node is written raw into
-// snapshot section `kd_nodes`. Aabb (2 points, 16D) + four 32-bit
-// ranges/children + BlockRange = 16D + 24.
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<2>::Node, 56, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<3>::Node, 72, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<4>::Node, 88, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<5>::Node, 104, 8);
 
 }  // namespace sepdc::knn

@@ -1,9 +1,11 @@
 #include "parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -123,19 +125,28 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
   auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(b - a);
   return d.count() > 0 ? static_cast<std::uint64_t>(d.count()) : 0;
 }
+
+// Wall time of the tasks this thread ran, summed per nesting level: a
+// task that helps inside a wait runs other tasks on its own stack, and
+// their time must not count again in its own.
+thread_local std::uint64_t t_nested_run_ns = 0;
 }  // namespace
 
 void ThreadPool::run_task(Task task) {
   Clock::time_point start = Clock::now();
   task_wait_.record(ns_between(task.enqueued, start));
+  const std::uint64_t outer_nested = std::exchange(t_nested_run_ns, 0);
   try {
     task.fn();
   } catch (...) {
     task.group->record_error(std::current_exception());
   }
-  std::uint64_t run_ns = ns_between(start, Clock::now());
-  task_run_.record(run_ns);
-  busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
+  const std::uint64_t run_ns = ns_between(start, Clock::now());
+  // Self time: what the tasks run while helping took is theirs.
+  const std::uint64_t self_ns = run_ns - std::min(run_ns, t_nested_run_ns);
+  t_nested_run_ns = outer_nested + run_ns;
+  task_run_.record(self_ns);
+  busy_ns_.fetch_add(self_ns, std::memory_order_relaxed);
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   task.group->pending_.fetch_sub(1, std::memory_order_acq_rel);
   task_done_.notify_all();

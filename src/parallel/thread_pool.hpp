@@ -82,14 +82,16 @@ class Waitable {
 
 // Plain-value snapshot of a pool's execution counters. Tasks that ran
 // via a helping wait count too — the helping thread is doing the pool's
-// work, just on a caller's stack.
+// work, just on a caller's stack. Run times are self times: a task that
+// helps while it waits does not count again the tasks it runs meanwhile,
+// so busy_ns never exceeds concurrency x lifetime.
 struct ThreadPoolStats {
   std::uint64_t tasks_executed = 0;
-  std::uint64_t busy_ns = 0;      // total wall time inside task bodies
+  std::uint64_t busy_ns = 0;      // total self time of task bodies
   std::uint64_t lifetime_ns = 0;  // pool age at snapshot time
   unsigned concurrency = 0;
   metrics::HistogramSnapshot task_wait;  // ns, enqueue -> start
-  metrics::HistogramSnapshot task_run;   // ns, task body duration
+  metrics::HistogramSnapshot task_run;   // ns, task body self time
 
   // Fraction of the pool's capacity (concurrency x lifetime) spent
   // executing task bodies. A pure fork-join phase approaches 1; an idle

@@ -31,10 +31,11 @@
 // immediately rather than retrying): a query whose deadline cannot
 // survive the batch path — the *remaining* wait until the pending
 // queue's flush fires plus the estimated batch service time — is
-// *punted* at submission to the snapshot's direct kd-tree /
-// single-march fallback on the client's own thread. Both paths are
-// exact with the identical (dist2, id) tie-break, so punting degrades
-// latency, never answers. Per-outcome counters (batched, punted,
+// *punted* at submission: answered by a direct call into the same
+// snapshot index (SeparatorIndex::knn / for_each_in_ball) on the
+// client's own thread. There is one query engine, so a punted answer is
+// bit-equal to the batched one — punting degrades latency, never
+// answers. Per-outcome counters (batched, punted,
 // fast-lane, expired, rebuilt-under) land in a relaxed-atomic
 // ServiceStats.
 //
@@ -277,8 +278,8 @@ class QueryBroker {
     sidecar.delta_ids = flat.ids;
     sidecar.delta_points = flat.points;
     sidecar.tombstones = flat.tombstones;
-    io::save_snapshot<D>(path, *view->base->index, *view->base->fallback,
-                         view->base->version, sidecar);
+    io::save_snapshot<D>(path, *view->base->index, view->base->version,
+                         sidecar);
     ServiceStats::add(stats_.snapshot_saves, 1);
     return true;
   }
@@ -317,8 +318,8 @@ class QueryBroker {
     sidecar.shard_count = shard_count;
     sidecar.shard_id = shard_id;
     sidecar.shard_root = root;
-    io::save_snapshot<D>(path, *view->base->index, *view->base->fallback,
-                         view->base->version, sidecar);
+    io::save_snapshot<D>(path, *view->base->index, view->base->version,
+                         sidecar);
     ServiceStats::add(stats_.snapshot_saves, 1);
     return view->base->version;
   }
@@ -862,17 +863,17 @@ class QueryBroker {
     return ext == kNoExclude ? kNoExclude : base.internal_id(ext);
   }
 
-  // One punted/direct k-NN answer against a coherent live view: base
-  // kd-tree fetch with the tombstone over-fetch margin, then the sorted
-  // merge with the delta scans.
+  // One punted/direct k-NN answer against a coherent live view: one
+  // single-pass index query with the tombstone over-fetch margin, then
+  // the sorted merge with the delta scans.
   static KnnRow answer_knn_direct(const LiveView<D>& view,
                                   const geo::Point<D>& q, std::size_t k,
                                   std::uint32_t exclude) {
     KnnRow base_rows;
     if (view.has_base()) {
       const std::size_t kb = k + view.tombstone_count();
-      base_rows = view.base->fallback
-                      ->query(q, kb, base_exclude(*view.base, exclude))
+      base_rows = view.base->index
+                      ->knn(q, kb, base_exclude(*view.base, exclude))
                       .take_sorted();
     }
     return merge_knn_rows(view, q, k, exclude, base_rows);

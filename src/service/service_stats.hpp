@@ -9,9 +9,10 @@
 // Outcome taxonomy (per query, mutually exclusive):
 //   batched   — answered through a micro-batch flush,
 //   punted    — deadline could not survive the batch path, answered
-//               immediately through the direct fallback (Punting-Lemma
-//               shape: run the fast path only when it can win, otherwise
-//               fall back without retrying),
+//               immediately by a direct call into the snapshot index on
+//               the client's thread (Punting-Lemma shape: run the fast
+//               path only when it can win, otherwise fall back without
+//               retrying),
 //   fast_lane — the broker was idle (empty queue, no flush in flight) so
 //               an interactive-class query took the direct path inline
 //               without waiting out a flush interval.
@@ -39,7 +40,7 @@
 //                   count == batched.
 //   batch_execute — per flush: whole execute() duration (ns);
 //                   count == flushes.
-//   punt_latency  — per punted query: whole fallback answer time (ns);
+//   punt_latency  — per punted query: whole direct answer time (ns);
 //                   count == punted.
 //   fast_lane_latency — per fast-lane query: whole inline answer time
 //                   (ns); count == fast_lane.
@@ -71,7 +72,7 @@ namespace sepdc::service {
 struct ServiceStatsSnapshot {
   std::size_t submitted = 0;       // queries accepted by the service
   std::size_t batched = 0;         // answered via a micro-batch
-  std::size_t punted = 0;          // answered via the direct fallback
+  std::size_t punted = 0;          // answered by a direct index call
   std::size_t fast_lane = 0;       // answered inline on an idle broker
   std::size_t shed = 0;            // rejected by admission control
   std::size_t shed_interactive = 0;  // shed, interactive class
@@ -178,7 +179,7 @@ class ServiceStats {
   std::atomic<std::size_t> cur_max_batch{0};
   // EWMA of per-query batch service time in microseconds; feeds the punt
   // decision (a deadline shorter than the estimated batch-path completion
-  // takes the direct fallback instead) and the admission controller (the
+  // takes the direct path instead) and the admission controller (the
   // estimated backlog a new bulk request would join).
   std::atomic<double> est_batch_us_per_query{0.0};
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
 
 #include "knn/kdtree.hpp"
 #include "workload/generators.hpp"
@@ -20,6 +23,44 @@ std::vector<std::uint32_t> brute_in_ball(
     if (geo::distance2(pts[i], c) <= r * r)
       out.push_back(static_cast<std::uint32_t>(i));
   return out;
+}
+
+// Brute-force k-NN oracle: the k smallest (dist2, id) pairs — the same
+// total order TopK's tie-break defines, so ties are compared too.
+template <int D>
+std::vector<knn::TopK::Entry> brute_knn(std::span<const geo::Point<D>> pts,
+                                        const geo::Point<D>& q,
+                                        std::size_t k,
+                                        std::uint32_t exclude) {
+  std::vector<knn::TopK::Entry> all;
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    if (i != exclude)
+      all.push_back({geo::distance2(pts[i], q),
+                     static_cast<std::uint32_t>(i)});
+  std::sort(all.begin(), all.end());
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void expect_rows_equal(const std::vector<knn::TopK::Entry>& got,
+                       const std::vector<knn::TopK::Entry>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].index, want[s].index) << what << " slot " << s;
+    EXPECT_EQ(got[s].dist2, want[s].dist2) << what << " slot " << s;
+  }
+}
+
+// knn() is one nearer-child-first pass that prunes a far child by the
+// ball of the current k-th distance; checked against brute force.
+template <int D>
+void expect_knn_exact(const SeparatorIndex<D>& index,
+                      std::span<const geo::Point<D>> pts,
+                      const geo::Point<D>& q, std::size_t k,
+                      std::uint32_t exclude, const std::string& what) {
+  expect_rows_equal(index.knn(q, k, exclude).take_sorted(),
+                    brute_knn<D>(pts, q, k, exclude), what);
 }
 
 struct IndexCase {
@@ -95,6 +136,30 @@ TEST(SeparatorIndex, SelfExclusionKnn) {
     for (std::size_t s = 0; s < 3; ++s)
       EXPECT_EQ(got[s].index, expect[s].index);
   }
+
+  // Per-query exclude, one per row: a self-query skipping itself, a
+  // self-query skipping some other point, a free query skipping nothing.
+  std::vector<geo::Point<2>> queries;
+  std::vector<std::uint32_t> exclude;
+  for (int i = 0; i < 300; ++i) {
+    const auto id = static_cast<std::uint32_t>(rng.below(pts.size()));
+    const auto other = static_cast<std::uint32_t>(rng.below(pts.size()));
+    const geo::Point<2> free{{rng.uniform(), rng.uniform()}};
+    queries.push_back(i % 3 == 2 ? free : pts[id]);
+    exclude.push_back(i % 3 == 0   ? id
+                      : i % 3 == 1 ? other
+                                   : SeparatorIndex<2>::kNoExclude);
+  }
+  auto rows = index.batch_knn(par::ThreadPool::global(),
+                              std::span<const geo::Point<2>>(queries), 6,
+                              exclude);
+  ASSERT_EQ(rows.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::string tag = "exclude row " + std::to_string(q);
+    expect_rows_equal(rows[q], brute_knn<2>(span, queries[q], 6, exclude[q]),
+                      tag);
+    expect_knn_exact<2>(index, span, queries[q], 6, exclude[q], tag);
+  }
 }
 
 TEST(SeparatorIndex, KGreaterThanPopulation) {
@@ -123,6 +188,18 @@ TEST(SeparatorIndex, QueryFarOutsideTheData) {
   auto expect = ref.take_sorted();
   EXPECT_EQ(got[0].index, expect[0].index);
   EXPECT_EQ(got[1].index, expect[1].index);
+
+  // Queries ten data diameters outside the box, in every direction.
+  std::span<const geo::Point<2>> span(pts);
+  const double diameter = std::sqrt(2.0);  // of the unit square
+  for (int q = 0; q < 100; ++q) {
+    const double angle = rng.uniform(0.0, 6.283185307179586);
+    const geo::Point<2> c{{0.5 + 10.0 * diameter * std::cos(angle),
+                           0.5 + 10.0 * diameter * std::sin(angle)}};
+    expect_knn_exact<2>(index, span, c, 1 + rng.below(16),
+                        SeparatorIndex<2>::kNoExclude,
+                        "far query " + std::to_string(q));
+  }
 }
 
 TEST(SeparatorIndex, ZeroRadiusAndNegativeRadius) {
@@ -143,6 +220,38 @@ TEST(SeparatorIndex, AllIdenticalPoints) {
   EXPECT_EQ(index.count_in_ball(geo::Point<2>{{7.0, 7.0}}, 0.1), 300u);
   auto got = index.knn(geo::Point<2>{{7.0, 7.0}}, 5).take_sorted();
   EXPECT_EQ(got.size(), 5u);
+
+  // The copies are unsplittable: one big leaf, far above leaf_size,
+  // where every answer is a 300-way tie broken by id.
+  std::span<const geo::Point<2>> span(pts);
+  ASSERT_EQ(index.leaf_count(), 1u);
+  for (const geo::Point<2>& q :
+       {geo::Point<2>{{7.0, 7.0}}, geo::Point<2>{{7.0, 7.5}},
+        geo::Point<2>{{-100.0, 3.0}}})
+    for (std::size_t k : {1u, 5u, 33u, 299u, 300u, 301u})
+      for (std::uint32_t ex : {SeparatorIndex<2>::kNoExclude, 0u, 150u})
+        expect_knn_exact<2>(index, span, q, k, ex,
+                            "k " + std::to_string(k) + " exclude " +
+                                std::to_string(ex));
+
+  // The same big leaf deep inside a normally split tree: 200 copies of
+  // one site among uniform points.
+  Rng rng(61);
+  auto mixed = workload::uniform_cube<2>(1500, rng);
+  mixed.insert(mixed.begin() + 700, 200, geo::Point<2>{{0.5, 0.5}});
+  std::span<const geo::Point<2>> mspan(mixed);
+  SeparatorIndexConfig small_leaves;
+  small_leaves.leaf_size = 8;
+  SeparatorIndex<2> deep(mspan, small_leaves, par::ThreadPool::global());
+  for (int q = 0; q < 60; ++q) {
+    const geo::Point<2> c =
+        q % 3 == 0 ? geo::Point<2>{{0.5, 0.5}}
+                   : geo::Point<2>{{0.5 + rng.uniform(-0.05, 0.05),
+                                    0.5 + rng.uniform(-0.05, 0.05)}};
+    expect_knn_exact<2>(deep, mspan, c, 1 + rng.below(260),
+                        SeparatorIndex<2>::kNoExclude,
+                        "cluster query " + std::to_string(q));
+  }
 }
 
 TEST(SeparatorIndex, ThreeDimensions) {
@@ -158,6 +267,29 @@ TEST(SeparatorIndex, ThreeDimensions) {
     auto expect = tree.query(p, 4).take_sorted();
     for (std::size_t s = 0; s < 4; ++s)
       EXPECT_EQ(got[s].index, expect[s].index);
+  }
+
+  // Plus an 8x8x8 lattice whose exact-distance shells tie across ids,
+  // queried inside the cube, at lattice sites and outside the box.
+  for (int z = 0; z < 8; ++z)
+    for (int y = 0; y < 8; ++y)
+      for (int x = 0; x < 8; ++x)
+        pts.push_back({{2.0 + x, 2.0 + y, 2.0 + z}});
+  std::span<const geo::Point<3>> lspan(pts);
+  SeparatorIndexConfig small_leaves;
+  small_leaves.leaf_size = 8;
+  SeparatorIndex<3> lattice(lspan, small_leaves, par::ThreadPool::global());
+  for (int q = 0; q < 150; ++q) {
+    geo::Point<3> c;
+    if (q % 3 == 0)
+      c = {{rng.uniform(), rng.uniform(), rng.uniform()}};
+    else if (q % 3 == 1)
+      c = {{2.0 + rng.below(8), 2.0 + rng.below(8), 2.0 + rng.below(8)}};
+    else
+      c = {{rng.uniform(-40.0, 50.0), rng.uniform(-40.0, 50.0), -60.0}};
+    expect_knn_exact<3>(lattice, lspan, c, 1 + rng.below(27),
+                        SeparatorIndex<3>::kNoExclude,
+                        "3d query " + std::to_string(q));
   }
 }
 

@@ -3,8 +3,8 @@
 // Round-trip contract: an index saved to disk and mmap-loaded back must
 // be *byte-identical* to the built one — same storage bytes, and the
 // same answers (ids, bitwise-equal distances, and tie order) on every
-// query path: kd-tree fallback, index ball-march, expanding k-NN, the
-// batched entry points, and a broker cold-started from the file. The
+// query path: index ball-march, single-pass k-NN, the batched entry
+// points, and a broker cold-started from the file. The
 // Duplicates workload is in the matrix deliberately: coincident points
 // produce equal distances, so any tie-order drift in a loaded snapshot
 // fails here.
@@ -117,7 +117,7 @@ TEST_P(SnapshotRoundTrip, StorageBytesAreIdentical) {
   const std::string path =
       temp_path(std::string("bytes_") + workload::kind_name(GetParam()) +
                 ".sepdc");
-  save_snapshot<2>(path, *built->index, *built->fallback, built->version);
+  save_snapshot<2>(path, *built->index, built->version);
   auto loaded = load_snapshot<2>(path);
 
   const auto& bi = *built->index;
@@ -133,16 +133,8 @@ TEST_P(SnapshotRoundTrip, StorageBytesAreIdentical) {
   expect_bytes_equal(bi.blocks().lanes(), li.blocks().lanes(),
                      "block lanes");
   EXPECT_EQ(bi.forest().root_id(), li.forest().root_id());
-  EXPECT_EQ(bi.diameter(), li.diameter());
-
-  const auto& bk = *built->fallback;
-  const auto& lk = *loaded.fallback;
-  expect_bytes_equal(bk.ids(), lk.ids(), "kd ids");
-  expect_bytes_equal(bk.nodes(), lk.nodes(), "kd nodes");
-  expect_bytes_equal(bk.blocks().coords(), lk.blocks().coords(),
-                     "kd block coords");
-  EXPECT_EQ(bk.root_id(), lk.root_id());
-  EXPECT_EQ(bk.leaf_size(), lk.leaf_size());
+  EXPECT_EQ(bi.config().leaf_size, li.config().leaf_size);
+  EXPECT_EQ(bi.config().seed, li.config().seed);
   EXPECT_EQ(loaded.saved_version, built->version);
   EXPECT_EQ(loaded.point_count, points.size());
 }
@@ -154,7 +146,7 @@ TEST_P(SnapshotRoundTrip, AnswersAreByteIdenticalOnEveryPath) {
   const std::string path =
       temp_path(std::string("paths_") + workload::kind_name(GetParam()) +
                 ".sepdc");
-  save_snapshot<2>(path, *built->index, *built->fallback, built->version);
+  save_snapshot<2>(path, *built->index, built->version);
   auto loaded = load_snapshot<2>(path);
 
   auto queries = make_points(workload::Kind::UniformCube, 64, 79);
@@ -166,11 +158,7 @@ TEST_P(SnapshotRoundTrip, AnswersAreByteIdenticalOnEveryPath) {
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     const Pt& q = queries[qi];
     const std::string tag = "query " + std::to_string(qi);
-    // kd-tree fallback path.
-    expect_entries_identical(built->fallback->query(q, k).take_sorted(),
-                             loaded.fallback->query(q, k).take_sorted(),
-                             "kd " + tag);
-    // Index expanding-radius k-NN path.
+    // Index single-pass k-NN path.
     expect_entries_identical(built->index->knn(q, k).take_sorted(),
                              loaded.index->knn(q, k).take_sorted(),
                              "index knn " + tag);
@@ -301,8 +289,7 @@ void save_view(const service::LiveView<2>& v, const std::string& path) {
   sidecar.delta_ids = flat.ids;
   sidecar.delta_points = flat.points;
   sidecar.tombstones = flat.tombstones;
-  save_snapshot<2>(path, *v.base->index, *v.base->fallback,
-                   v.base->version, sidecar);
+  save_snapshot<2>(path, *v.base->index, v.base->version, sidecar);
 }
 
 std::vector<char> read_file_bytes(const std::string& path) {
@@ -347,7 +334,6 @@ TEST(SnapshotDelta, MidCompactionSaveRoundTripsByteIdentically) {
   auto snap2 = std::make_shared<service::IndexSnapshot<2>>();
   snap2->version = loaded.saved_version;
   snap2->index = loaded.index;
-  snap2->fallback = loaded.fallback;
   snap2->point_count = loaded.point_count;
   if (!loaded.external_ids.empty())
     snap2->external_ids =
@@ -375,14 +361,14 @@ TEST(SnapshotDelta, LoadRacingSaveSeesOldOrNewGenerationNeverTorn) {
   auto snap_a = build_snapshot(pts_a, pool, 1);
   auto snap_b = build_snapshot(pts_b, pool, 2);
   const std::string path = temp_path("racing_generations.sepdc");
-  save_snapshot<2>(path, *snap_a->index, *snap_a->fallback, 1);
+  save_snapshot<2>(path, *snap_a->index, 1);
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread writer([&] {
     for (int i = 0; i < 30; ++i) {
       const auto& s = (i % 2 == 0) ? snap_b : snap_a;
-      save_snapshot<2>(path, *s->index, *s->fallback, s->version);
+      save_snapshot<2>(path, *s->index, s->version);
     }
     stop.store(true, std::memory_order_release);
   });
@@ -396,8 +382,7 @@ TEST(SnapshotDelta, LoadRacingSaveSeesOldOrNewGenerationNeverTorn) {
       const bool gen_b =
           loaded.saved_version == 2 && loaded.point_count == 450;
       if (!(gen_a || gen_b)) failures.fetch_add(1);
-      if (loaded.index->size() != loaded.point_count ||
-          loaded.fallback->size() != loaded.point_count)
+      if (loaded.index->size() != loaded.point_count)
         failures.fetch_add(1);
     }
   });
@@ -415,8 +400,7 @@ class SnapshotCorruption : public ::testing::Test {
     points_ = make_points(workload::Kind::UniformCube, 600, 101);
     built_ = build_snapshot(points_, *pool_);
     path_ = temp_path("corruption_victim.sepdc");
-    save_snapshot<2>(path_, *built_->index, *built_->fallback,
-                     built_->version);
+    save_snapshot<2>(path_, *built_->index, built_->version);
   }
 
   // The load must throw the expected typed error, and a store asked to
@@ -510,6 +494,55 @@ TEST_F(SnapshotCorruption, FailedBootstrapKeepsCurrentGeneration) {
   EXPECT_EQ(store.current()->version, built_->version);
 }
 
+// Rewrites the header's format version and recomputes the header
+// checksum, so the version check — not the checksum — must refuse it.
+void set_format_version(const std::string& path, std::uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  FileHeader hdr{};
+  f.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
+  ASSERT_TRUE(f.good());
+  hdr.format_version = version;
+  hdr.header_checksum =
+      fnv1a64(&hdr, offsetof(FileHeader, header_checksum));
+  f.seekp(0);
+  f.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
+  ASSERT_TRUE(f.good());
+}
+
+// v2 files (with the retired kd-tree sections) are refused with the
+// typed version error — no migration shim — in both the plain and the
+// sharded-shard shape, and a serving store keeps its generation.
+TEST_F(SnapshotCorruption, OldFormatVersionRejected) {
+  SnapshotSidecar<2> shard;
+  const auto cut = std::vector<core::ForestNode<2>>(1);
+  shard.shard_nodes = cut;
+  shard.shard_count = 1;
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded shard" : "plain");
+    save_snapshot<2>(path_, *built_->index, built_->version,
+                     sharded ? shard : SnapshotSidecar<2>{});
+    set_format_version(path_, 2);
+    expect_load_fails(SnapshotError::kBadVersion);
+    if (sharded) {
+      try {
+        (void)read_shard_file<2>(path_);
+        FAIL() << "read_shard_file did not throw";
+      } catch (const SnapshotIoError& e) {
+        EXPECT_EQ(e.code(), SnapshotError::kBadVersion) << e.what();
+      }
+    }
+    SnapshotStore<2> store;
+    service::ServiceStats stats;
+    store.publish(built_);
+    EXPECT_THROW(store.bootstrap_from(path_, &stats), SnapshotIoError);
+    ASSERT_NE(store.current(), nullptr);
+    EXPECT_EQ(store.current(), built_);
+    EXPECT_EQ(store.version(), built_->version);
+    EXPECT_EQ(stats.snapshot_loads.load(), 0u);
+  }
+}
+
 // ------------------------------------------------- delta-section corruption
 
 // Byte offset of a section's payload, read from the file's own table.
@@ -527,7 +560,7 @@ std::uint64_t section_payload_offset(const std::string& path,
   return 0;
 }
 
-// Corruption in the v2 delta sections: a damaged pending delta must
+// Corruption in the delta sections: a damaged pending delta must
 // surface as the matching typed SnapshotError, and a store asked to
 // bootstrap from it must keep its current generation untouched.
 class DeltaCorruption : public ::testing::Test {
@@ -547,8 +580,7 @@ class DeltaCorruption : public ::testing::Test {
     sidecar.delta_ids = delta_ids_;
     sidecar.delta_points = delta_points_;
     sidecar.tombstones = tombstones_;
-    save_snapshot<2>(path_, *built_->index, *built_->fallback,
-                     built_->version, sidecar);
+    save_snapshot<2>(path_, *built_->index, built_->version, sidecar);
   }
 
   // The load must throw the expected typed error; a store already
@@ -632,7 +664,7 @@ TEST_F(DeltaCorruption, NonFiniteDeltaPointFailsStructure) {
 
 // ---------------------------------------------------- sharding sections
 // Sections 18 (kShardInfo) and 19 (kShardNodes) are optional additions
-// to the v2 container: files with and without them interload — the
+// to the container: files with and without them interload — the
 // plain loader ignores them, read_shard_file requires them.
 
 // A 3-node cut: a sphere separator at the root, two leaf regions.
@@ -714,7 +746,7 @@ TEST_F(ShardSections, FullSnapshotCarriesSidecarShardingAndStillLoads) {
   sidecar.shard_count = 2;
   sidecar.shard_id = 0;
   sidecar.shard_root = 0;
-  save_snapshot<2>(path_, *built->index, *built->fallback, built->version,
+  save_snapshot<2>(path_, *built->index, built->version,
                    sidecar);
 
   // The sharding head reads back...
@@ -723,8 +755,8 @@ TEST_F(ShardSections, FullSnapshotCarriesSidecarShardingAndStillLoads) {
   EXPECT_EQ(f.shard_id, 0u);
   EXPECT_FALSE(f.empty_base);
   // ...and the ordinary loader still loads the same file, byte-checked,
-  // ignoring the extra sections (old readers keep working — the v2
-  // format version did not move).
+  // ignoring the extra sections (the sharding sections did not move the
+  // format version).
   auto loaded = load_snapshot<2>(path_);
   EXPECT_EQ(loaded.point_count, points.size());
   EXPECT_EQ(loaded.saved_version, 5u);
@@ -734,8 +766,7 @@ TEST_F(ShardSections, PlainSnapshotHasNoShardingSections) {
   par::ThreadPool pool(4);
   auto points = make_points(workload::Kind::UniformCube, 200, 117);
   auto built = build_snapshot(points, pool);
-  save_snapshot<2>(path_, *built->index, *built->fallback,
-                   built->version);
+  save_snapshot<2>(path_, *built->index, built->version);
   expect_read_fails(SnapshotError::kBadSectionTable);
 }
 

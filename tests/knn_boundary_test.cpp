@@ -4,11 +4,13 @@
 // On an integer lattice, radii like 1, sqrt(2), 2, and 5 (= |(3,4)|) hit
 // whole rings of points at distance exactly r. The closed-ball contract
 // (docs/kernels.md) says every radius path in the library — the direct
-// scan oracle, KdTree::for_each_in_ball (the service's punt fallback),
+// scan oracle, KdTree::for_each_in_ball (the test oracle structure),
 // SeparatorIndex::for_each_in_ball, SeparatorIndex::batch_radius, and
 // the QueryBroker's batched and punted routes — must agree on those
 // boundary points bit for bit. Before the fix the kd-tree implemented an
-// open ball and silently dropped every on-boundary point here.
+// open ball and silently dropped every on-boundary point here. The same
+// rings make k-th-distance ties for SeparatorIndex::knn, whose far-side
+// pruning must still reach every tied id.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,7 +106,7 @@ TEST(BoundaryTies, SeparatorIndexPathsMatchOracle) {
       sort_by_id(expect);
       EXPECT_EQ(got, expect) << "center " << c << " radius " << r;
     }
-    // Batched level-synchronous march.
+    // Batched march.
     auto rows = index.batch_radius(pool, std::span<const Pt>(centers), r);
     ASSERT_EQ(rows.size(), centers.size());
     for (std::size_t q = 0; q < centers.size(); ++q) {
@@ -117,6 +119,66 @@ TEST(BoundaryTies, SeparatorIndexPathsMatchOracle) {
     }
   }
 }
+
+// Single-pass k-NN on lattice rings: at a lattice site the k-th distance
+// usually ties across a whole ring, and the rings straddle separators, so
+// the far-side pruning must admit tangent balls (tie order by id). Median
+// hyperplanes pass through lattice points, so there a tied point can sit
+// exactly on the cut, the ball exactly tangent to it.
+class SinglePassKnnRingTies
+    : public ::testing::TestWithParam<core::PartitionRule> {};
+
+TEST_P(SinglePassKnnRingTies, MatchOracle) {
+  auto pts = lattice(13);
+  std::span<const Pt> span(pts);
+  core::SeparatorIndexConfig cfg;
+  cfg.leaf_size = 4;
+  cfg.seed = 77;
+  cfg.partition = GetParam();
+  core::SeparatorIndex<2> index(span, cfg, par::ThreadPool::global());
+  const auto& root = index.forest().root();
+  ASSERT_FALSE(root.is_leaf());
+
+  std::size_t cross_cut_ties = 0;
+  for (std::uint32_t id = 0; id < pts.size(); id += 5) {
+    for (const Pt& c : {pts[id], Pt{{pts[id][0] + 0.5, pts[id][1]}}}) {
+      for (std::size_t k = 1; k <= 25; ++k) {
+        for (std::uint32_t ex :
+             {core::SeparatorIndex<2>::kNoExclude, id}) {
+          std::vector<knn::TopK::Entry> all;
+          for (std::uint32_t j = 0; j < pts.size(); ++j)
+            if (j != ex) all.push_back({geo::distance2(pts[j], c), j});
+          std::sort(all.begin(), all.end());
+          // Ties at the k-th distance that the root separator splits.
+          const double kth = all[k - 1].dist2;
+          bool inner = false, outer = false;
+          for (const auto& e : all) {
+            if (e.dist2 != kth) continue;
+            (root.separator.classify(pts[e.index]) == geo::Side::Inner
+                 ? inner
+                 : outer) = true;
+          }
+          if (inner && outer && all[k].dist2 == kth) ++cross_cut_ties;
+          all.resize(k);
+
+          auto got = index.knn(c, k, ex).take_sorted();
+          ASSERT_EQ(got.size(), k);
+          for (std::size_t s = 0; s < k; ++s) {
+            EXPECT_EQ(got[s].index, all[s].index)
+                << "center " << c << " k " << k << " slot " << s;
+            EXPECT_EQ(got[s].dist2, all[s].dist2);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cross_cut_ties, 0u) << "no k-th-distance tie straddled a cut";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Partitions, SinglePassKnnRingTies,
+    ::testing::Values(core::PartitionRule::MttvSphere,
+                      core::PartitionRule::HyperplaneMedian));
 
 TEST(BoundaryTies, ZeroRadiusFindsCoincidentEverywhere) {
   auto pts = lattice(5);
@@ -141,9 +203,9 @@ TEST(BoundaryTies, ZeroRadiusFindsCoincidentEverywhere) {
 }
 
 // Punted and batched broker radius answers must be byte-identical on
-// boundary inputs: the punt route answers inline via the kd-tree /
-// direct index march, the batched route via batch_radius — divergent
-// open/closed semantics between them was the headline bug.
+// boundary inputs: the punt route answers inline via the direct index
+// march, the batched route via batch_radius — divergent open/closed
+// semantics between them was the headline bug.
 TEST(BoundaryTies, BrokerPuntedEqualsBatchedOnBoundaryRadii) {
   auto pts = lattice(13);
   std::span<const Pt> span(pts);

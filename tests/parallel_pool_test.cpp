@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "parallel/parallel_for.hpp"
 
 namespace sepdc::par {
 namespace {
@@ -74,6 +77,36 @@ TEST(ThreadPool, StatsCountEveryTaskExactly) {
   EXPECT_GE(s.utilization(), 0.0);
   EXPECT_LE(s.utilization(), 1.0);
   EXPECT_EQ(s.busy_ns, s.task_run.sum());
+}
+
+// A task that helps while it waits runs other tasks on its own stack;
+// counting both wall times would credit the same nanoseconds twice. Busy
+// time is self time, so it stays within concurrency x wall even when
+// every task below the top nests a helping wait.
+void nested_invoke(ThreadPool& pool, int depth) {
+  if (depth == 0) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    return;
+  }
+  parallel_invoke(
+      pool, [&] { nested_invoke(pool, depth - 1); },
+      [&] { nested_invoke(pool, depth - 1); });
+}
+
+TEST(ThreadPool, BusyTimeCountsNestedHelpingOnce) {
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    nested_invoke(pool, 6);  // one caller drives every helping wait
+    auto s = pool.stats();
+    EXPECT_GT(s.tasks_executed, 0u);
+    EXPECT_LE(s.busy_ns, std::uint64_t{s.concurrency} * s.lifetime_ns);
+    EXPECT_LE(s.utilization(), 1.0);
+    EXPECT_EQ(s.busy_ns, s.task_run.sum());
+  }
 }
 
 TEST(ThreadPool, StatsCountHelpedTasksToo) {

@@ -193,9 +193,8 @@ TEST(ServiceConcurrency, SnapshotStorePublishIsAtomicAndMonotone) {
       std::uint64_t last = 0;
       while (!stop.load(std::memory_order_acquire)) {
         auto snap = store.current();
-        if (!snap || !snap->index || !snap->fallback ||
-            snap->index->size() != snap->point_count ||
-            snap->fallback->size() != snap->point_count) {
+        if (!snap || !snap->index ||
+            snap->index->size() != snap->point_count) {
           failures.fetch_add(1);
         }
         if (snap->version < last) failures.fetch_add(1000);

@@ -135,8 +135,6 @@ int run_verify(const std::string& path,
     const std::string tag = "query " + std::to_string(i);
     compare_knn(tag + " index knn", loaded.index->knn(q, k),
                 ref->index->knn(q, k));
-    compare_knn(tag + " kd fallback", loaded.fallback->query(q, k),
-                ref->fallback->query(q, k));
     if (sorted_ball(*loaded.index, q, radius) !=
         sorted_ball(*ref->index, q, radius))
       mismatch(tag + " radius answer set");
@@ -194,8 +192,7 @@ int main(int argc, char** argv) {
     if (mode == "save") {
       auto snap =
           sepdc::service::SnapshotStore<kDims>::build(points, cfg, pool, 1);
-      sepdc::io::save_snapshot<kDims>(path, *snap->index, *snap->fallback,
-                                      snap->version);
+      sepdc::io::save_snapshot<kDims>(path, *snap->index, snap->version);
       std::printf("saved %zu points to '%s'\n", points.size(),
                   path.c_str());
       return 0;
