@@ -8,8 +8,8 @@
 //   - core::NeighborhoodQueryTree (§3), core::SeparatorIndex (spatial
 //     queries over the partition tree)
 //   - separator::SphereSeparatorSampler (the MTTV separator itself)
-//   - service::QueryBroker (concurrent micro-batched query serving with
-//     snapshot handoff), service::SnapshotStore
+//   - service::QueryBroker (concurrent query serving on the caller's
+//     thread, with snapshot handoff), service::SnapshotStore
 //   - knn:: brute force, kd-tree, graphs, serialization
 //   - workload:: generators, support:: RNG / stats / tables
 #pragma once

@@ -5,11 +5,16 @@
 // balls — so the same separators that drive the index recursion make a
 // natural *shard function*: cut the point set into S regions down the
 // top of a PartitionForest, run one completely independent QueryBroker
-// (snapshot store + delta tier + flusher) per region, and fan a query
-// out beyond its home shard only when its ball crosses a separator
-// surface. Boundary traffic is the measured `boundary_fanout` fraction
-// in ServiceStats; everything else runs shared-nothing and scales with
-// the shard count (docs/sharding.md).
+// (snapshot store + delta tier) per region, and fan a query out beyond
+// its home shard only when its ball crosses a separator surface.
+// Boundary traffic is the measured `boundary_fanout` fraction in
+// ServiceStats; everything else runs shared-nothing (docs/sharding.md).
+//
+// The router starts no thread. A query visits its shards one after the
+// other on the caller's thread, and each shard broker answers inline
+// too (query_broker.hpp), so concurrency comes from the callers and,
+// for bulks above the default grain, from each shard's parallel_for on
+// the shared pool.
 //
 // Result contracts are the single-broker ones, byte for byte: every
 // shard answers with exact kernel distances over its disjoint subset of
@@ -25,8 +30,8 @@
 // (classify(Ball) counts tangency as Cut, so boundary ties always fan
 // out) and the rows merge by (dist2, id). The fan-out ball is inflated
 // by ~1e-9 relative before classification so kernel/sqrt rounding can
-// only cause extra visits, never a missed point. Radius queries scatter
-// to the overlapping shards directly. Inserts route by shard_of(p);
+// only cause extra visits, never a missed point. Radius queries go to
+// the overlapping shards directly. Inserts route by shard_of(p);
 // removes probe ownership (ids are unique across shards because insert
 // checks liveness router-wide before routing).
 #pragma once
@@ -35,13 +40,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <queue>
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -215,8 +218,8 @@ class ShardFunction {
 };
 
 // Per-router configuration: the desired shard count plus the broker
-// config every shard runs with (each shard gets its own flusher thread,
-// snapshot store, and delta tier; they share only the thread pool).
+// config every shard runs with (each shard gets its own snapshot store
+// and delta tier; they share only the thread pool).
 struct ShardRouterConfig {
   std::uint32_t shards = 1;
   BrokerConfig broker;
@@ -226,11 +229,8 @@ struct ShardRouterConfig {
 // Thread-safe the same way a single broker is: any number of client
 // threads may query and mutate concurrently. Router-level ServiceStats
 // count accepted work and fan-out (submitted/…/fanout_queries/
-// shard_visits; the batching/punting taxonomy lives in the per-shard
-// broker stats — a router never batches anything itself). A request
-// that any shard sheds fails the whole call with QueryError("overload")
-// and counts in the router's shed/shed_* counters, so the caller-side
-// invariant attempts == submitted + shed holds at the router too.
+// shard_visits); the per-query outcome counters (punted, punt_latency)
+// live in the per-shard broker stats.
 template <int D>
 class ShardRouter {
  public:
@@ -272,176 +272,128 @@ class ShardRouter {
 
   KnnRow knn(const Point& q, std::size_t k,
              std::chrono::microseconds budget = kNoDeadline,
-             std::uint32_t exclude = kNoExclude,
-             SloClass cls = SloClass::kInteractive) {
+             std::uint32_t exclude = kNoExclude) {
     validate_knn(k, budget);
     const std::uint32_t home = fn_.shard_of(q);
-    KnnRow row = with_shed_accounting(cls, 1, [&] {
-      KnnRow home_row = shard(home).knn(q, k, budget, exclude, cls);
-      const std::vector<std::uint32_t> targets =
-          knn_fanout_targets(q, k, home_row, home);
-      if (targets.empty()) {
-        account_query(/*is_knn=*/true, cls, 1, 1, 0, false);
-        return home_row;
-      }
-      std::vector<KnnRow> extra(targets.size());
-      scatter(targets.size(), [&](std::size_t t) {
-        extra[t] = shard(targets[t]).knn(q, k, budget, exclude, cls);
-      });
-      account_query(/*is_knn=*/true, cls, 1, 1 + targets.size(), 1,
-                    false);
-      return merge_knn(std::move(home_row), extra, k);
-    });
-    return row;
+    KnnRow home_row = shard(home).knn(q, k, budget, exclude);
+    const std::vector<std::uint32_t> targets =
+        knn_fanout_targets(q, k, home_row, home);
+    if (targets.empty()) {
+      account_query(/*is_knn=*/true, 1, 1, 0, false);
+      return home_row;
+    }
+    std::vector<KnnRow> extra;
+    extra.reserve(targets.size());
+    for (std::uint32_t t : targets)
+      extra.push_back(shard(t).knn(q, k, budget, exclude));
+    account_query(/*is_knn=*/true, 1, 1 + targets.size(), 1, false);
+    return merge_knn(std::move(home_row), extra, k);
   }
 
   std::vector<KnnRow> bulk_knn(std::span<const Point> queries,
                                std::size_t k,
                                std::chrono::microseconds budget =
                                    kNoDeadline,
-                               std::span<const std::uint32_t> exclude = {},
-                               SloClass cls = SloClass::kBulk) {
+                               std::span<const std::uint32_t> exclude = {}) {
     SEPDC_CHECK_MSG(exclude.empty() || exclude.size() == queries.size(),
                     "router knn: exclude must be empty or per-query");
     validate_knn(k, budget);
     std::vector<KnnRow> out(queries.size());
     if (queries.empty()) return out;
-    with_shed_accounting(cls, queries.size(), [&] {
-      // Phase 1: every query to its home shard, one bulk submission per
-      // shard group, groups in flight concurrently.
-      std::vector<std::vector<std::uint32_t>> groups(shard_count());
-      for (std::size_t i = 0; i < queries.size(); ++i)
-        groups[fn_.shard_of(queries[i])].push_back(
-            static_cast<std::uint32_t>(i));
-      std::vector<std::uint32_t> active;
-      for (std::uint32_t s = 0; s < shard_count(); ++s)
-        if (!groups[s].empty()) active.push_back(s);
-      scatter(active.size(), [&](std::size_t a) {
-        const std::uint32_t s = active[a];
-        std::vector<Point> sub;
-        std::vector<std::uint32_t> sub_excl;
-        sub.reserve(groups[s].size());
-        for (std::uint32_t i : groups[s]) {
-          sub.push_back(queries[i]);
-          if (!exclude.empty()) sub_excl.push_back(exclude[i]);
-        }
-        std::vector<KnnRow> rows = shard(s).bulk_knn(
-            sub, k, budget, sub_excl, cls);
-        for (std::size_t j = 0; j < groups[s].size(); ++j)
-          out[groups[s][j]] = std::move(rows[j]);
-      });
-      // Phase 2: queries whose ball crosses a separator visit the
-      // overlapping shards, again grouped per target shard.
-      std::vector<std::vector<std::uint32_t>> fan(shard_count());
-      std::size_t fanned = 0;
-      std::size_t visits = queries.size();
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const std::uint32_t home = groups_home(groups, i);
-        const std::vector<std::uint32_t> targets =
-            knn_fanout_targets(queries[i], k, out[i], home);
-        if (targets.empty()) continue;
-        ++fanned;
-        visits += targets.size();
-        for (std::uint32_t t : targets)
-          fan[t].push_back(static_cast<std::uint32_t>(i));
-      }
-      std::vector<std::uint32_t> fan_active;
-      for (std::uint32_t s = 0; s < shard_count(); ++s)
-        if (!fan[s].empty()) fan_active.push_back(s);
-      std::vector<std::vector<KnnRow>> fan_rows(fan_active.size());
-      scatter(fan_active.size(), [&](std::size_t a) {
-        const std::uint32_t s = fan_active[a];
-        std::vector<Point> sub;
-        std::vector<std::uint32_t> sub_excl;
-        sub.reserve(fan[s].size());
-        for (std::uint32_t i : fan[s]) {
-          sub.push_back(queries[i]);
-          if (!exclude.empty()) sub_excl.push_back(exclude[i]);
-        }
-        fan_rows[a] = shard(s).bulk_knn(sub, k, budget, sub_excl, cls);
-      });
-      // Gather: merge each fanned query's extra rows into its home row.
-      std::vector<std::vector<KnnRow>> per_query(queries.size());
-      for (std::size_t a = 0; a < fan_active.size(); ++a) {
-        const std::uint32_t s = fan_active[a];
-        for (std::size_t j = 0; j < fan[s].size(); ++j)
-          per_query[fan[s][j]].push_back(std::move(fan_rows[a][j]));
-      }
-      for (std::size_t i = 0; i < queries.size(); ++i)
-        if (!per_query[i].empty())
-          out[i] = merge_knn(std::move(out[i]), per_query[i], k);
-      account_query(/*is_knn=*/true, cls, queries.size(), visits,
-                    fanned, true);
-      return 0;
-    });
+    // Phase 1: every query to its home shard, one bulk call per shard
+    // group.
+    std::vector<std::uint32_t> home(queries.size());
+    std::vector<std::vector<std::uint32_t>> groups(shard_count());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      home[i] = fn_.shard_of(queries[i]);
+      groups[home[i]].push_back(static_cast<std::uint32_t>(i));
+    }
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      if (groups[s].empty()) continue;
+      std::vector<KnnRow> rows = shard_bulk_knn(s, groups[s], queries, k,
+                                                budget, exclude);
+      for (std::size_t j = 0; j < groups[s].size(); ++j)
+        out[groups[s][j]] = std::move(rows[j]);
+    }
+    // Phase 2: queries whose ball crosses a separator visit the
+    // overlapping shards, again grouped per target shard.
+    std::vector<std::vector<std::uint32_t>> fan(shard_count());
+    std::size_t fanned = 0;
+    std::size_t visits = queries.size();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::vector<std::uint32_t> targets =
+          knn_fanout_targets(queries[i], k, out[i], home[i]);
+      if (targets.empty()) continue;
+      ++fanned;
+      visits += targets.size();
+      for (std::uint32_t t : targets)
+        fan[t].push_back(static_cast<std::uint32_t>(i));
+    }
+    // Gather: merge each fanned query's extra rows into its home row.
+    std::vector<std::vector<KnnRow>> per_query(queries.size());
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      if (fan[s].empty()) continue;
+      std::vector<KnnRow> rows =
+          shard_bulk_knn(s, fan[s], queries, k, budget, exclude);
+      for (std::size_t j = 0; j < fan[s].size(); ++j)
+        per_query[fan[s][j]].push_back(std::move(rows[j]));
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      if (!per_query[i].empty())
+        out[i] = merge_knn(std::move(out[i]), per_query[i], k);
+    account_query(/*is_knn=*/true, queries.size(), visits, fanned, true);
     return out;
   }
 
   RadiusRow radius(const Point& q, double r,
-                   std::chrono::microseconds budget = kNoDeadline,
-                   SloClass cls = SloClass::kInteractive) {
+                   std::chrono::microseconds budget = kNoDeadline) {
     validate_radius(r, budget);
     const std::vector<std::uint32_t> targets =
         fn_.overlapping(geo::Ball<D>{q, r});
-    return with_shed_accounting(cls, 1, [&] {
-      if (targets.size() == 1) {
-        RadiusRow row = shard(targets[0]).radius(q, r, budget, cls);
-        account_query(/*is_knn=*/false, cls, 1, 1, 0, false);
-        return row;
-      }
-      std::vector<RadiusRow> rows(targets.size());
-      scatter(targets.size(), [&](std::size_t t) {
-        rows[t] = shard(targets[t]).radius(q, r, budget, cls);
-      });
-      account_query(/*is_knn=*/false, cls, 1, targets.size(), 1, false);
-      return merge_radius(rows);
-    });
+    if (targets.size() == 1) {
+      RadiusRow row = shard(targets[0]).radius(q, r, budget);
+      account_query(/*is_knn=*/false, 1, 1, 0, false);
+      return row;
+    }
+    std::vector<RadiusRow> rows;
+    rows.reserve(targets.size());
+    for (std::uint32_t t : targets)
+      rows.push_back(shard(t).radius(q, r, budget));
+    account_query(/*is_knn=*/false, 1, targets.size(), 1, false);
+    return merge_radius(rows);
   }
 
   std::vector<RadiusRow> bulk_radius(std::span<const Point> queries,
                                      double r,
                                      std::chrono::microseconds budget =
-                                         kNoDeadline,
-                                     SloClass cls = SloClass::kBulk) {
+                                         kNoDeadline) {
     validate_radius(r, budget);
     std::vector<RadiusRow> out(queries.size());
     if (queries.empty()) return out;
-    with_shed_accounting(cls, queries.size(), [&] {
-      std::vector<std::vector<std::uint32_t>> groups(shard_count());
-      std::size_t visits = 0;
-      std::size_t fanned = 0;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const std::vector<std::uint32_t> targets =
-            fn_.overlapping(geo::Ball<D>{queries[i], r});
-        visits += targets.size();
-        if (targets.size() > 1) ++fanned;
-        for (std::uint32_t t : targets)
-          groups[t].push_back(static_cast<std::uint32_t>(i));
+    std::vector<std::vector<std::uint32_t>> groups(shard_count());
+    std::size_t visits = 0;
+    std::size_t fanned = 0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::vector<std::uint32_t> targets =
+          fn_.overlapping(geo::Ball<D>{queries[i], r});
+      visits += targets.size();
+      if (targets.size() > 1) ++fanned;
+      for (std::uint32_t t : targets)
+        groups[t].push_back(static_cast<std::uint32_t>(i));
+    }
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      if (groups[s].empty()) continue;
+      std::vector<Point> sub;
+      sub.reserve(groups[s].size());
+      for (std::uint32_t i : groups[s]) sub.push_back(queries[i]);
+      std::vector<RadiusRow> rows = shard(s).bulk_radius(sub, r, budget);
+      for (std::size_t j = 0; j < groups[s].size(); ++j) {
+        RadiusRow& dst = out[groups[s][j]];
+        dst.insert(dst.end(), rows[j].begin(), rows[j].end());
       }
-      std::vector<std::uint32_t> active;
-      for (std::uint32_t s = 0; s < shard_count(); ++s)
-        if (!groups[s].empty()) active.push_back(s);
-      std::vector<std::vector<RadiusRow>> rows(active.size());
-      scatter(active.size(), [&](std::size_t a) {
-        const std::uint32_t s = active[a];
-        std::vector<Point> sub;
-        sub.reserve(groups[s].size());
-        for (std::uint32_t i : groups[s]) sub.push_back(queries[i]);
-        rows[a] = shard(s).bulk_radius(sub, r, budget, cls);
-      });
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        const std::uint32_t s = active[a];
-        for (std::size_t j = 0; j < groups[s].size(); ++j) {
-          RadiusRow& dst = out[groups[s][j]];
-          RadiusRow& src = rows[a][j];
-          dst.insert(dst.end(), src.begin(), src.end());
-        }
-      }
-      for (RadiusRow& row : out) sort_radius_row(row);
-      account_query(/*is_knn=*/false, cls, queries.size(), visits,
-                    fanned, true);
-      return 0;
-    });
+    }
+    for (RadiusRow& row : out) sort_radius_row(row);
+    account_query(/*is_knn=*/false, queries.size(), visits, fanned, true);
     return out;
   }
 
@@ -581,35 +533,22 @@ class ShardRouter {
     return brokers_[s]->stats();
   }
 
-  // Rolled-up view: the sum of every shard broker's counters (batching
-  // taxonomy, flushes, updates, compactions — each holds per shard, so
-  // the sums hold too) with the router's fan-out accounting grafted on
-  // top. boundary_fanout is computed against the *router's* submitted
-  // count: per-shard submissions intentionally double-count fanned
-  // queries (that duplication is exactly the boundary cost the paper
-  // bounds). Histograms are per-shard; read them via shard_stats().
+  // Rolled-up view: the sum of every shard broker's counters (outcome
+  // counters, updates, compactions — each holds per shard, so the sums
+  // hold too) with the router's fan-out accounting grafted on top.
+  // boundary_fanout is computed against the *router's* submitted count:
+  // per-shard submissions intentionally double-count fanned queries
+  // (that duplication is exactly the boundary cost the paper bounds).
+  // Histograms are per-shard; read them via shard_stats().
   ServiceStatsSnapshot aggregated_stats() const {
     ServiceStatsSnapshot agg;
     for (const auto& b : brokers_) {
       ServiceStatsSnapshot s = b->stats();
       agg.submitted += s.submitted;
-      agg.batched += s.batched;
       agg.punted += s.punted;
-      agg.fast_lane += s.fast_lane;
-      agg.shed += s.shed;
-      agg.shed_interactive += s.shed_interactive;
-      agg.shed_bulk += s.shed_bulk;
       agg.expired += s.expired;
       agg.rebuilt_under += s.rebuilt_under;
       agg.bulk_requests += s.bulk_requests;
-      agg.class_interactive += s.class_interactive;
-      agg.class_bulk += s.class_bulk;
-      agg.flushes += s.flushes;
-      agg.flush_by_size += s.flush_by_size;
-      agg.flush_by_deadline += s.flush_by_deadline;
-      agg.flush_by_stop += s.flush_by_stop;
-      agg.max_flush_queries =
-          std::max(agg.max_flush_queries, s.max_flush_queries);
       agg.rebuilds += s.rebuilds;
       agg.snapshots_published += s.snapshots_published;
       agg.snapshots_discarded += s.snapshots_discarded;
@@ -802,74 +741,23 @@ class ShardRouter {
     return ShardFunction<D>::kNoShard;
   }
 
-  static std::uint32_t groups_home(
-      const std::vector<std::vector<std::uint32_t>>& groups,
-      std::size_t query) {
-    for (std::uint32_t s = 0; s < groups.size(); ++s)
-      for (std::uint32_t i : groups[s])
-        if (i == query) return s;
-    SEPDC_CHECK_MSG(false, "router: query missing from home groups");
-    return 0;
-  }
-
-  // Runs n independent sub-tasks, the first on the calling thread and
-  // the rest on dedicated joiner threads. NOT on the shared pool: a
-  // scattered sub-request parks inside the target broker until its
-  // flusher answers, and a parked task in the pool queue can be stolen
-  // by a helping wait — including a flusher helping inside a batch
-  // kernel, which then blocks on a flush only it can perform (observed
-  // as a hard deadlock on a single-core host, where every scatter task
-  // waits for a helper). Every task runs to completion before return;
-  // the first error — typically a shard's QueryError — is rethrown
-  // after the join.
-  template <class Fn>
-  void scatter(std::size_t n, Fn&& fn) {
-    if (n == 0) return;
-    if (n == 1) {
-      fn(std::size_t{0});
-      return;
+  // One bulk k-NN on shard s over the queries at positions `which`.
+  std::vector<KnnRow> shard_bulk_knn(
+      std::uint32_t s, std::span<const std::uint32_t> which,
+      std::span<const Point> queries, std::size_t k,
+      std::chrono::microseconds budget,
+      std::span<const std::uint32_t> exclude) {
+    std::vector<Point> sub;
+    std::vector<std::uint32_t> sub_excl;
+    sub.reserve(which.size());
+    for (std::uint32_t i : which) {
+      sub.push_back(queries[i]);
+      if (!exclude.empty()) sub_excl.push_back(exclude[i]);
     }
-    Mutex err_mu;
-    std::exception_ptr err SEPDC_GUARDED_BY(err_mu);
-    auto run_one = [&fn, &err_mu, &err](std::size_t i) {
-      try {
-        fn(i);
-      } catch (...) {
-        LockGuard lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    };
-    std::vector<std::thread> joiners;
-    joiners.reserve(n - 1);
-    for (std::size_t i = 1; i < n; ++i)
-      joiners.emplace_back(run_one, i);
-    run_one(std::size_t{0});
-    for (std::thread& t : joiners) t.join();
-    LockGuard lock(err_mu);
-    if (err) std::rethrow_exception(err);
+    return shard(s).bulk_knn(sub, k, budget, sub_excl);
   }
 
-  // Shed accounting wrapper: a QueryError("overload") escaping any
-  // shard counts the whole request as shed at the router (nothing was
-  // answered), keeping attempts == submitted + shed router-side.
-  template <class Fn>
-  auto with_shed_accounting(SloClass cls, std::size_t nqueries, Fn&& fn)
-      -> decltype(fn()) {
-    try {
-      return fn();
-    } catch (const QueryError& e) {
-      if (e.field() == "overload") {
-        ServiceStats::add(stats_.shed, nqueries);
-        ServiceStats::add(cls == SloClass::kInteractive
-                              ? stats_.shed_interactive
-                              : stats_.shed_bulk,
-                          nqueries);
-      }
-      throw;
-    }
-  }
-
-  void account_query(bool is_knn, SloClass cls, std::size_t nqueries,
+  void account_query(bool is_knn, std::size_t nqueries,
                      std::size_t visits, std::size_t fanned,
                      bool bulk_entry) {
     ServiceStats::add(stats_.submitted, nqueries);
@@ -878,10 +766,6 @@ class ShardRouter {
                       nqueries);
     ServiceStats::add(is_knn ? stats_.knn_answered
                              : stats_.radius_answered,
-                      nqueries);
-    ServiceStats::add(cls == SloClass::kInteractive
-                          ? stats_.class_interactive
-                          : stats_.class_bulk,
                       nqueries);
     ServiceStats::add(stats_.shard_visits, visits);
     ServiceStats::add(stats_.fanout_queries, fanned);

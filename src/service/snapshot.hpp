@@ -56,9 +56,8 @@ struct IndexSnapshot {
 
   std::uint64_t version = 0;
   // The one query structure: the separator-based partition index, which
-  // answers batched, punted and fast-lane queries alike. Null only in an
-  // *empty* generation (zero points — a delta-only service before its
-  // first compaction).
+  // answers every broker query. Null only in an *empty* generation (zero
+  // points — a delta-only service before its first compaction).
   std::shared_ptr<const core::SeparatorIndex<D>> index;
   std::size_t point_count = 0;
   double build_seconds = 0.0;

@@ -204,7 +204,6 @@ TEST(SnapshotBroker, ColdStartServesIdenticalAnswers) {
   par::ThreadPool pool(4);
   auto points = make_points(workload::Kind::Duplicates, 800, 91);
   service::BrokerConfig cfg;
-  cfg.max_batch = 16;
   const std::string path = temp_path("broker_cold_start.sepdc");
 
   service::QueryBroker<2> warm(std::span<const Pt>(points), cfg, pool);
@@ -244,7 +243,6 @@ TEST(SnapshotBroker, PendingUpdatesSurviveColdStart) {
   par::ThreadPool pool(4);
   auto points = make_points(workload::Kind::UniformCube, 500, 93);
   service::BrokerConfig cfg;
-  cfg.max_batch = 16;
   cfg.delta_compaction_threshold = 0;  // keep the delta pending
   const std::string path = temp_path("broker_pending_delta.sepdc");
 

@@ -6,7 +6,7 @@
 // (docs/kernels.md) says every radius path in the library — the direct
 // scan oracle, KdTree::for_each_in_ball (the test oracle structure),
 // SeparatorIndex::for_each_in_ball, SeparatorIndex::batch_radius, and
-// the QueryBroker's batched and punted routes — must agree on those
+// the QueryBroker's single and bulk calls — must agree on those
 // boundary points bit for bit. Before the fix the kd-tree implemented an
 // open ball and silently dropped every on-boundary point here. The same
 // rings make k-th-distance ties for SeparatorIndex::knn, whose far-side
@@ -202,11 +202,11 @@ TEST(BoundaryTies, ZeroRadiusFindsCoincidentEverywhere) {
   }
 }
 
-// Punted and batched broker radius answers must be byte-identical on
-// boundary inputs: the punt route answers inline via the direct index
-// march, the batched route via batch_radius — divergent open/closed
-// semantics between them was the headline bug.
-TEST(BoundaryTies, BrokerPuntedEqualsBatchedOnBoundaryRadii) {
+// Single and bulk broker radius answers must be byte-identical on
+// boundary inputs and equal the closed-ball oracle, with or without a
+// deadline: divergent open/closed semantics between two radius routes
+// was the headline bug.
+TEST(BoundaryTies, BrokerBulkEqualsSingleOnBoundaryRadii) {
   auto pts = lattice(13);
   std::span<const Pt> span(pts);
   auto& pool = par::ThreadPool::global();
@@ -214,34 +214,24 @@ TEST(BoundaryTies, BrokerPuntedEqualsBatchedOnBoundaryRadii) {
   std::vector<Pt> queries{pts[0], pts[84], pts[168], Pt{{3.0, 4.0}},
                           Pt{{6.5, 6.5}}, pts[12]};
   for (double r : {1.0, std::sqrt(2.0), 5.0}) {
-    // Batched: generous deadline, nothing punts.
-    service::BrokerConfig batched_cfg;
-    batched_cfg.max_batch = 64;
-    batched_cfg.flush_interval = microseconds(200);
-    batched_cfg.index.seed = 7;
-    service::QueryBroker<2> batched(span, batched_cfg, pool);
-    auto batched_rows = batched.bulk_radius(std::span<const Pt>(queries), r,
-                                            microseconds(1'000'000));
+    service::BrokerConfig cfg;
+    cfg.index.seed = 7;
+    service::QueryBroker<2> broker(span, cfg, pool);
+    auto bulk_rows = broker.bulk_radius(std::span<const Pt>(queries), r,
+                                        microseconds(1'000'000));
+    std::vector<service::QueryBroker<2>::RadiusRow> single_rows;
+    for (const Pt& q : queries)
+      single_rows.push_back(broker.radius(q, r, microseconds(50)));
+    auto s = broker.stats();
+    ASSERT_EQ(s.punted, 2 * queries.size());
 
-    // Punted: deadline budget far below the flush interval forces the
-    // inline fallback for every query (the PR 4 punt-forcing shape).
-    service::BrokerConfig punt_cfg;
-    punt_cfg.max_batch = 64;
-    punt_cfg.flush_interval = microseconds(100000);
-    punt_cfg.index.seed = 7;
-    service::QueryBroker<2> punted(span, punt_cfg, pool);
-    auto punted_rows = punted.bulk_radius(std::span<const Pt>(queries), r,
-                                          microseconds(50));
-    auto ps = punted.stats();
-    ASSERT_EQ(ps.punted, queries.size());
-
-    ASSERT_EQ(batched_rows.size(), punted_rows.size());
+    ASSERT_EQ(bulk_rows.size(), single_rows.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(batched_rows[q], punted_rows[q])
+      EXPECT_EQ(bulk_rows[q], single_rows[q])
           << "query " << queries[q] << " radius " << r;
       // And both equal the closed-ball oracle.
       auto expect = oracle_ball(span, queries[q], r);
-      auto got = batched_rows[q];
+      auto got = bulk_rows[q];
       sort_by_id(got);
       sort_by_id(expect);
       EXPECT_EQ(got, expect) << "query " << queries[q] << " radius " << r;

@@ -63,8 +63,6 @@ TEST(ServiceConcurrency, ReadersSeeExactAnswersUnderContinuousRebuild) {
   std::span<const Pt> span(oracle.points);
 
   BrokerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.flush_interval = microseconds(50);
   cfg.index.seed = rng.next();
   auto& pool = par::ThreadPool::global();
   QueryBroker<2> broker(span, cfg, pool);
@@ -100,12 +98,12 @@ TEST(ServiceConcurrency, ReadersSeeExactAnswersUnderContinuousRebuild) {
       for (int it = 0; it < kItersPerReader; ++it) {
         std::size_t q = lrng.below(oracle.queries.size());
         switch (it % 4) {
-          case 0: {  // single k-NN through the batch path
+          case 0: {  // single k-NN, no deadline
             auto row = broker.knn(oracle.queries[q], oracle.k);
             if (row != oracle.knn_rows[q]) failures.fetch_add(1);
             break;
           }
-          case 1: {  // tight deadline: exercises the punt path
+          case 1: {  // tight deadline: answered late, never different
             auto row = broker.knn(oracle.queries[q], oracle.k,
                                   microseconds(1));
             if (row != oracle.knn_rows[q]) failures.fetch_add(1);
@@ -154,16 +152,12 @@ TEST(ServiceConcurrency, ReadersSeeExactAnswersUnderContinuousRebuild) {
   EXPECT_EQ(s.rebuilds, total_builds);
   EXPECT_EQ(s.snapshots_published + s.snapshots_discarded, total_builds);
   EXPECT_EQ(s.batched + s.punted, s.submitted);
-  EXPECT_GT(s.punted, 0u);  // the 1us-deadline readers punted
+  EXPECT_EQ(s.punted, s.submitted);
   // Histogram reconciliation at quiescence: after every reader and
-  // writer has joined, the histograms recorded under full contention
-  // must agree exactly with the outcome counters (relaxed atomics drop
+  // writer has joined, the histogram recorded under full contention
+  // must agree exactly with the outcome counter (relaxed atomics drop
   // nothing).
-  EXPECT_EQ(s.queue_wait.count(), s.batched);
   EXPECT_EQ(s.punt_latency.count(), s.punted);
-  EXPECT_EQ(s.batch_execute.count(), s.flushes);
-  EXPECT_EQ(s.flush_size.count(), s.flushes);
-  EXPECT_EQ(s.flush_size.sum(), s.batched);
 }
 
 // Torn-read hunt on the snapshot store itself: hammer publish/current

@@ -1,8 +1,8 @@
 // Differential suite: the QueryBroker must be indistinguishable from the
 // brute-force oracle on results, for every workload generator and every
-// batching/deadline configuration — micro-batching, coalescing, punting,
-// and snapshot handoff may only change latency, never answers (including
-// the deterministic (dist2, id) tie-break order).
+// deadline budget — budgets, concurrent clients, and snapshot handoff
+// may only change latency, never answers (including the deterministic
+// (dist2, id) tie-break order).
 #include "service/query_broker.hpp"
 
 #include <gtest/gtest.h>
@@ -49,20 +49,16 @@ void expect_matches_brute_force(
 
 struct BrokerVariant {
   const char* name;
-  std::size_t max_batch;
-  microseconds flush_interval;
   microseconds budget;  // 0 = no deadline
 };
 
-// One degenerate config (every submission is its own flush), one
-// size-triggered config, one deadline-triggered config (threshold far
-// above the traffic), one that punts everything (deadline-of-the-past).
+// No deadline, a deadline already in the past by the time the answer
+// exists, and a generous one: a budget may mark an answer expired but
+// never changes its bytes.
 constexpr BrokerVariant kVariants[] = {
-    {"flush_each", 1, microseconds(0), microseconds(0)},
-    {"size_16", 16, microseconds(5000), microseconds(0)},
-    {"deadline_flush", 1 << 20, microseconds(30), microseconds(0)},
-    {"punt_everything", 64, microseconds(400), microseconds(1)},
-    {"generous_deadline", 64, microseconds(200), microseconds(1'000'000)},
+    {"no_deadline", microseconds(0)},
+    {"past_deadline", microseconds(1)},
+    {"generous_deadline", microseconds(1'000'000)},
 };
 
 class ServiceDifferential
@@ -82,13 +78,11 @@ TEST_P(ServiceDifferential, AllKnnEqualsBruteForceAcrossConfigs) {
 
   for (const BrokerVariant& v : kVariants) {
     BrokerConfig cfg;
-    cfg.max_batch = v.max_batch;
-    cfg.flush_interval = v.flush_interval;
     cfg.index.seed = rng.next();
     QueryBroker<2> broker(span, cfg, pool);
 
-    // Chunked bulk submissions (multiple micro-batches per run) plus a
-    // stretch of single-query submissions.
+    // Chunked bulk submissions plus a stretch of single-query
+    // submissions.
     std::vector<std::vector<knn::TopK::Entry>> rows(n);
     const std::size_t singles = 40;
     std::size_t q = 0;
@@ -109,22 +103,10 @@ TEST_P(ServiceDifferential, AllKnnEqualsBruteForceAcrossConfigs) {
     auto s = broker.stats();
     EXPECT_EQ(s.submitted, n) << v.name;
     EXPECT_EQ(s.batched + s.punted, s.submitted) << v.name;
-    if (v.budget == microseconds(1)) {
-      EXPECT_GT(s.punted, 0u) << v.name;  // deadline in the past punts
-    }
-    if (v.budget == microseconds(0)) {
-      EXPECT_EQ(s.punted, 0u) << v.name;  // no deadline never punts
-    }
-    // Histogram reconciliation at quiescence (the invariants documented
-    // in service_stats.hpp): histogram counts equal the outcome
-    // counters, and the flush-size *sum* — exact, no bucket error —
-    // equals the batched count.
-    EXPECT_EQ(s.queue_wait.count(), s.batched) << v.name;
+    EXPECT_EQ(s.punted, s.submitted) << v.name;  // one direct path
+    // Histogram reconciliation at quiescence (the invariant documented
+    // in service_stats.hpp): the latency histogram counts every query.
     EXPECT_EQ(s.punt_latency.count(), s.punted) << v.name;
-    EXPECT_EQ(s.batch_execute.count(), s.flushes) << v.name;
-    EXPECT_EQ(s.flush_size.count(), s.flushes) << v.name;
-    EXPECT_EQ(s.flush_size.sum(), s.batched) << v.name;
-    EXPECT_EQ(s.flush_size.max(), s.max_flush_queries) << v.name;
   }
 }
 
@@ -159,8 +141,6 @@ TEST_P(ServiceDifferential, RadiusEqualsBruteForceClosedBall) {
   auto& pool = par::ThreadPool::global();
   for (const BrokerVariant& v : kVariants) {
     BrokerConfig cfg;
-    cfg.max_batch = v.max_batch;
-    cfg.flush_interval = v.flush_interval;
     cfg.index.seed = rng.next();
     QueryBroker<2> broker(span, cfg, pool);
 
@@ -185,9 +165,9 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, ServiceDifferential,
                                workload::kind_name(param_info.param));
                          });
 
-// Two client threads submitting chunks concurrently: their requests
-// coalesce into shared micro-batches, and both still see oracle results.
-TEST(ServiceDifferentialCoalescing, TwoClientsShareBatches) {
+// Two client threads submitting chunks concurrently both see oracle
+// results.
+TEST(ServiceDifferentialConcurrency, TwoClientsMatchBruteForce) {
   const std::size_t n = 800, k = 3;
   Rng rng(1400);
   auto points = workload::uniform_cube<2>(n, rng);
@@ -195,8 +175,6 @@ TEST(ServiceDifferentialCoalescing, TwoClientsShareBatches) {
   auto oracle = knn::brute_force<2>(span, k);
 
   BrokerConfig cfg;
-  cfg.max_batch = 48;
-  cfg.flush_interval = microseconds(300);
   cfg.index.seed = rng.next();
   QueryBroker<2> broker(span, cfg, par::ThreadPool::global());
 
@@ -224,11 +202,7 @@ TEST(ServiceDifferentialCoalescing, TwoClientsShareBatches) {
   expect_matches_brute_force(rows, oracle, workload::Kind::UniformCube);
   auto s = broker.stats();
   EXPECT_EQ(s.submitted, n);
-  EXPECT_EQ(s.batched, n);
-  // Coalescing happened: fewer flushes than bulk submissions would need
-  // if each flushed alone... at minimum the flush machinery ran.
-  EXPECT_GT(s.flushes, 0u);
-  EXPECT_GE(s.max_flush_queries, 23u);
+  EXPECT_EQ(s.punted, n);
 }
 
 // Invalid query parameters are rejected at submission with a typed
@@ -275,10 +249,9 @@ TEST(ServiceValidation, RejectsInvalidParametersWithoutAccounting) {
   EXPECT_EQ(broker.stats().submitted, 1u);
 }
 
-// Differential check around the NaN grouping hazard: a valid radius
-// request sharing a broker with rejected NaN submissions still gets
-// oracle-exact answers (the NaN never reaches execute()'s ==-keyed
-// grouping, where it would match no group including its own).
+// Differential check around NaN rejection: a valid radius request
+// sharing a broker with rejected NaN submissions still gets
+// oracle-exact answers.
 TEST(ServiceValidation, NanRejectionsDoNotPerturbValidAnswers) {
   const std::size_t n = 300;
   Rng rng(1600);
@@ -308,50 +281,6 @@ TEST(ServiceValidation, NanRejectionsDoNotPerturbValidAnswers) {
         QueryError);
     EXPECT_EQ(broker.radius(q, radius), expected);
   }
-}
-
-// Deterministic punting: a budget shorter than the flush interval can
-// never survive the batch path (the punt decision adds the full flush
-// interval to its ETA), so every request takes the fallback. This is
-// the test that keeps the Punting-Lemma path — and its histogram — from
-// silently regressing to dead code.
-TEST(ServicePunting, BudgetBelowFlushIntervalPuntsEverything) {
-  const std::size_t n = 400, k = 4;
-  Rng rng(1700);
-  auto points = workload::uniform_cube<2>(n, rng);
-  std::span<const Pt> span(points);
-  auto oracle = knn::brute_force<2>(span, k);
-
-  BrokerConfig cfg;
-  cfg.max_batch = 64;
-  cfg.flush_interval = microseconds(100000);  // 100ms >> any budget here
-  cfg.index.seed = rng.next();
-  QueryBroker<2> broker(span, cfg, par::ThreadPool::global());
-
-  std::vector<std::uint32_t> identity(n);
-  std::iota(identity.begin(), identity.end(), 0u);
-  std::vector<std::vector<knn::TopK::Entry>> rows(n);
-  std::size_t q = 0;
-  while (q < n) {
-    std::size_t len = std::min<std::size_t>(37, n - q);
-    auto chunk = broker.bulk_knn(
-        span.subspan(q, len), k, microseconds(50),
-        std::span<const std::uint32_t>(identity).subspan(q, len));
-    for (std::size_t i = 0; i < len; ++i) rows[q + i] = std::move(chunk[i]);
-    q += len;
-  }
-  // Punted answers are exact too (the kd-tree fallback shares the
-  // (dist2, id) tie-break).
-  expect_matches_brute_force(rows, oracle, workload::Kind::UniformCube);
-
-  auto s = broker.stats();
-  EXPECT_EQ(s.submitted, n);
-  EXPECT_EQ(s.punted, n);
-  EXPECT_EQ(s.batched, 0u);
-  EXPECT_EQ(s.punt_latency.count(), n);
-  EXPECT_GT(s.punt_latency.max(), 0u);
-  EXPECT_EQ(s.queue_wait.count(), 0u);
-  EXPECT_EQ(s.flush_size.count(), s.flushes);
 }
 
 }  // namespace

@@ -94,8 +94,6 @@ void expect_radius_equal(const RadiusRow& got, const RadiusRow& want,
 ShardRouterConfig router_config(std::uint32_t shards, std::uint64_t seed) {
   ShardRouterConfig cfg;
   cfg.shards = shards;
-  cfg.broker.max_batch = 8;
-  cfg.broker.flush_interval = microseconds(200);
   cfg.broker.delta_compaction_threshold = 32;
   cfg.broker.index.seed = seed;
   return cfg;

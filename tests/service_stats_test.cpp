@@ -1,166 +1,48 @@
-// Tests for service/service_stats.hpp, pinning the CAS-loop EWMA
-// estimator (observe_batch_cost), the histogram snapshot plumbing, and
-// the flush-trigger taxonomy the broker maintains
-// (flush_by_size + flush_by_deadline + flush_by_stop == flushes).
+// Tests for service/service_stats.hpp, pinning the relaxed snapshot
+// path of the sharding counters and the histogram snapshot plumbing.
 #include "service/service_stats.hpp"
 
 #include <gtest/gtest.h>
-
-#include <chrono>
-#include <span>
-#include <thread>
-#include <vector>
-
-#include "service/query_broker.hpp"
-#include "workload/generators.hpp"
 
 namespace {
 
 using sepdc::service::ServiceStats;
 
-// The shed class split and the sharding counters ride the same relaxed
-// snapshot path as everything else: shed partitions into
-// shed_interactive + shed_bulk (so attempts == submitted + shed stays
-// exact per class), and boundary_fanout is derived at snapshot time as
+// The sharding counters ride the same relaxed snapshot path as
+// everything else: boundary_fanout is derived at snapshot time as
 // fanout_queries / submitted — 0 when nothing was submitted, never NaN.
-TEST(ServiceStats, ShedSplitAndFanoutSnapshot) {
+TEST(ServiceStats, FanoutSnapshot) {
   ServiceStats stats;
   EXPECT_DOUBLE_EQ(stats.snapshot().boundary_fanout, 0.0);
 
   ServiceStats::add(stats.submitted, 80);
-  ServiceStats::add(stats.shed, 12);
-  ServiceStats::add(stats.shed_interactive, 5);
-  ServiceStats::add(stats.shed_bulk, 7);
   ServiceStats::add(stats.fanout_queries, 20);
   ServiceStats::add(stats.shard_visits, 130);
 
   auto s = stats.snapshot();
-  EXPECT_EQ(s.shed, 12u);
-  EXPECT_EQ(s.shed, s.shed_interactive + s.shed_bulk);
-  EXPECT_EQ(s.submitted + s.shed, 92u);  // attempts
+  EXPECT_EQ(s.submitted, 80u);
+  EXPECT_EQ(s.shed, 0u);
   EXPECT_EQ(s.fanout_queries, 20u);
   EXPECT_EQ(s.shard_visits, 130u);
   EXPECT_DOUBLE_EQ(s.boundary_fanout, 20.0 / 80.0);
 }
 
-TEST(ServiceStats, EwmaSingleWriterSequence) {
-  ServiceStats stats;
-  stats.observe_batch_cost(10.0);  // first observation seeds the estimate
-  EXPECT_DOUBLE_EQ(stats.est_batch_us_per_query.load(), 10.0);
-  stats.observe_batch_cost(20.0);  // 10 + 0.25 * (20 - 10)
-  EXPECT_DOUBLE_EQ(stats.est_batch_us_per_query.load(), 12.5);
-  stats.observe_batch_cost(12.5);  // at the estimate: no movement
-  EXPECT_DOUBLE_EQ(stats.est_batch_us_per_query.load(), 12.5);
-}
-
-// The invariant the CAS loop buys: with any number of concurrent
-// writers, every update applies the EWMA step to the value it actually
-// replaced, so the estimate can never escape the convex hull of the
-// observations. A torn read-modify-write (the old load+store version)
-// loses updates and can land outside the hull under enough contention.
-TEST(ServiceStats, EwmaMultiWriterStaysInHull) {
-  ServiceStats stats;
-  constexpr double kLo = 50.0;
-  constexpr double kHi = 150.0;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 50000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&stats, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Deterministic values spanning [kLo, kHi].
-        double v = kLo + (kHi - kLo) *
-                             static_cast<double>((t * 31 + i) % 101) / 100.0;
-        stats.observe_batch_cost(v);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  double est = stats.est_batch_us_per_query.load();
-  EXPECT_GE(est, kLo);
-  EXPECT_LE(est, kHi);
-}
-
 TEST(ServiceStats, SnapshotCarriesHistograms) {
   ServiceStats stats;
-  stats.queue_wait.record(1000, 4);
-  stats.batch_execute.record(5000);
   stats.punt_latency.record(200, 2);
-  stats.flush_size.record(4);
+  stats.update_apply.record(1000, 4);
+  stats.compaction_build.record(5000);
+  stats.index_load.record(7000);
   auto s = stats.snapshot();
-  EXPECT_EQ(s.queue_wait.count(), 4u);
-  EXPECT_EQ(s.batch_execute.count(), 1u);
   EXPECT_EQ(s.punt_latency.count(), 2u);
-  EXPECT_EQ(s.flush_size.count(), 1u);
-  EXPECT_EQ(s.flush_size.sum(), 4u);
-}
-
-// Every flush is labeled by the trigger the flusher actually acted on,
-// and the three labels partition `flushes`. In particular a shutdown
-// drain whose size condition was never met counts as flush_by_stop —
-// the bug this pins is that it used to count as flush_by_size.
-TEST(ServiceStats, FlushTriggerTaxonomyReconciles) {
-  using sepdc::geo::Point;
-  using sepdc::service::BrokerConfig;
-  using sepdc::service::QueryBroker;
-  using std::chrono::microseconds;
-  sepdc::Rng rng(90);
-  auto points = sepdc::workload::generate<2>(
-      sepdc::workload::Kind::UniformCube, 200, rng);
-  std::span<const Point<2>> span(points);
-  auto& pool = sepdc::par::ThreadPool::global();
-
-  {
-    // Size trigger: a bulk of 16 against max_batch 4 flushes by size.
-    BrokerConfig cfg;
-    cfg.max_batch = 4;
-    cfg.flush_interval = microseconds(60'000'000);
-    cfg.index.seed = 1;
-    QueryBroker<2> broker(span, cfg, pool);
-    broker.bulk_knn(span.subspan(0, 16), 3);
-    auto s = broker.stats();
-    EXPECT_EQ(s.flushes, 1u);
-    EXPECT_EQ(s.flush_by_size, 1u);
-    EXPECT_EQ(s.flush_by_size + s.flush_by_deadline + s.flush_by_stop,
-              s.flushes);
-  }
-  {
-    // Deadline trigger: one query against an unreachable size threshold.
-    BrokerConfig cfg;
-    cfg.max_batch = 1 << 20;
-    cfg.flush_interval = microseconds(500);
-    cfg.index.seed = 2;
-    QueryBroker<2> broker(span, cfg, pool);
-    broker.knn(points[0], 3);
-    auto s = broker.stats();
-    EXPECT_EQ(s.flushes, 1u);
-    EXPECT_EQ(s.flush_by_deadline, 1u);
-    EXPECT_EQ(s.flush_by_size + s.flush_by_deadline + s.flush_by_stop,
-              s.flushes);
-  }
-  {
-    // Stop trigger: a pending query whose size and deadline conditions
-    // are both unreachable is drained by shutdown().
-    BrokerConfig cfg;
-    cfg.max_batch = 1 << 20;
-    cfg.flush_interval = microseconds(60'000'000);
-    cfg.index.seed = 3;
-    QueryBroker<2> broker(span, cfg, pool);
-    std::thread client([&] { broker.knn(points[0], 3); });
-    while (broker.stats().submitted == 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    broker.shutdown();
-    client.join();
-    auto s = broker.stats();
-    EXPECT_EQ(s.flushes, 1u);
-    EXPECT_EQ(s.flush_by_stop, 1u);
-    EXPECT_EQ(s.flush_by_size, 0u);
-    EXPECT_EQ(s.flush_by_deadline, 0u);
-    EXPECT_EQ(s.flush_by_size + s.flush_by_deadline + s.flush_by_stop,
-              s.flushes);
-    EXPECT_EQ(s.batched, 1u);  // drained, answered exactly, not dropped
-  }
+  EXPECT_EQ(s.update_apply.count(), 4u);
+  EXPECT_EQ(s.compaction_build.count(), 1u);
+  EXPECT_EQ(s.index_load.count(), 1u);
+  EXPECT_EQ(s.update_apply.sum(), 4000u);
+  // The histograms of the deleted batch path stay empty.
+  EXPECT_EQ(s.queue_wait.count(), 0u);
+  EXPECT_EQ(s.batch_execute.count(), 0u);
+  EXPECT_EQ(s.flush_size.count(), 0u);
 }
 
 }  // namespace

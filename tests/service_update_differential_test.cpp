@@ -1,8 +1,8 @@
 // Update differential suite: any interleaving of inserts, removes,
 // k-NN, and radius queries through the broker must be indistinguishable
 // from brute force over the as-of-submission live set — same ids, same
-// distances, same (dist2, id) tie order — across every batching /
-// punting / compaction configuration, including a zero-worker pool
+// distances, same (dist2, id) tie order — across every deadline /
+// compaction configuration, including a zero-worker pool
 // (compactions defer until drain) and a threshold low enough that
 // background compactions churn mid-schedule. The delta tier, the
 // tombstone over-fetch, the sorted merge, and the external-id
@@ -90,8 +90,6 @@ void expect_radius_equal(const RadiusRow& got, const RadiusRow& want,
 
 struct UpdateVariant {
   const char* name;
-  std::size_t max_batch;
-  microseconds flush_interval;
   microseconds budget;               // 0 = no deadline
   std::size_t compaction_threshold;  // 0 = manual compact() only
   // ThreadPool constructor arg: 0 = a dedicated default-sized pool,
@@ -101,17 +99,15 @@ struct UpdateVariant {
   int pool_threads;
 };
 
-// Degenerate batching, size-triggered batching under compaction churn,
-// a punt-everything deadline, a zero-worker pool (batch kernels and
-// compactions all run by helping-wait), and a generous deadline.
+// Manual compaction only, no deadline under compaction churn, a
+// deadline already past under churn, a zero-worker pool (compactions
+// run by helping-wait at drain), and a generous deadline.
 constexpr UpdateVariant kVariants[] = {
-    {"flush_each_manual", 1, microseconds(0), microseconds(0), 0, -1},
-    {"size_16_churn", 16, microseconds(5000), microseconds(0), 24, -1},
-    {"punt_everything_churn", 64, microseconds(400), microseconds(1), 24,
-     -1},
-    {"zero_worker_pool", 8, microseconds(200), microseconds(0), 16, 1},
-    {"generous_deadline", 64, microseconds(200), microseconds(1'000'000),
-     48, -1},
+    {"no_deadline_manual", microseconds(0), 0, -1},
+    {"no_deadline_churn", microseconds(0), 24, -1},
+    {"past_deadline_churn", microseconds(1), 24, -1},
+    {"zero_worker_pool", microseconds(0), 16, 1},
+    {"generous_deadline", microseconds(1'000'000), 48, -1},
 };
 
 // Runs one seeded schedule of interleaved updates and queries against
@@ -126,8 +122,6 @@ void run_schedule(const UpdateVariant& v, workload::Kind kind,
   auto points = workload::generate<2>(kind, base_n, rng);
 
   BrokerConfig cfg;
-  cfg.max_batch = v.max_batch;
-  cfg.flush_interval = v.flush_interval;
   cfg.delta_compaction_threshold = v.compaction_threshold;
   cfg.index.seed = rng.next();
   par::ThreadPool local_pool(
@@ -240,12 +234,12 @@ void run_schedule(const UpdateVariant& v, workload::Kind kind,
   EXPECT_EQ(s.knn_answered, s.knn_submitted);
   EXPECT_EQ(s.radius_answered, s.radius_submitted);
   EXPECT_EQ(s.batched + s.punted, s.submitted);
+  EXPECT_EQ(s.punted, s.submitted);
   EXPECT_EQ(s.updates_submitted, n_inserts + n_removes);
   EXPECT_EQ(s.inserts, n_inserts);
   EXPECT_EQ(s.removes, n_removes);
   EXPECT_EQ(s.update_apply.count(), s.updates_submitted);
   EXPECT_EQ(s.compaction_build.count(), s.compactions);
-  EXPECT_EQ(s.queue_wait.count(), s.batched);
   EXPECT_EQ(s.punt_latency.count(), s.punted);
   if (v.compaction_threshold > 0 &&
       n_inserts + n_removes >= v.compaction_threshold) {
@@ -486,7 +480,6 @@ TEST(ServiceUpdateEdges, DeltaOnlyServiceServesAndCompacts) {
   auto& pool = par::ThreadPool::global();
   Rng rng(4500);
   BrokerConfig cfg;
-  cfg.max_batch = 4;
   cfg.delta_compaction_threshold = 0;
   QueryBroker<2> broker(std::span<const Pt>{}, cfg, pool);
   EXPECT_EQ(broker.live_count(), 0u);
