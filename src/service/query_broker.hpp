@@ -4,10 +4,12 @@
 // Every call is answered on the caller's own thread against the one
 // live view it takes at entry: a single-pass index query
 // (SeparatorIndex::knn / for_each_in_ball) merged with the delta tier.
-// A bulk call runs that same per-query body under par::parallel_for with
-// the default grain, so bulks of up to 1024 queries stay on the caller's
-// thread and only larger ones spread over the shared pool. Nothing
-// queues and nothing parks, so a helping wait cannot deadlock.
+// A bulk call runs that same per-query body under par::parallel_for,
+// one block per pool thread but never fewer than kMinBlockQueries
+// queries a block: a single query or a bulk of up to 8 stays on the
+// caller's thread, and a larger bulk spreads over the shared pool with
+// the caller taking the first block. Nothing queues and nothing parks,
+// so a helping wait cannot deadlock.
 //
 // There is no micro-batching path. The Punting Lemma (§4) says to run
 // the preferred algorithm only while it can win and otherwise take the
@@ -617,10 +619,24 @@ class QueryBroker {
                        "no deadline");
   }
 
+  // The smallest block a bulk is split into. One answer costs a few
+  // microseconds, so eight keep a task hand-off small against the block;
+  // SeparatorIndex's batch kernels split at the same grain.
+  static constexpr std::size_t kMinBlockQueries = 8;
+
+  // One block per pool thread, so an idle pool answers a bulk about
+  // pool-width times faster than the caller alone, while a pool already
+  // busy with other callers' blocks gets no more tasks than it has
+  // threads.
+  std::size_t bulk_grain(std::size_t nqueries) const {
+    const std::size_t threads = pool_.concurrency();
+    return std::max(kMinBlockQueries, (nqueries + threads - 1) / threads);
+  }
+
   // Runs answer(view, i) for every query against one live view — on the
-  // caller's thread, or spread over the pool for bulks above the default
-  // grain — and does the accounting. Called after validation, so an
-  // invalid request never moves a counter.
+  // caller's thread, or spread over the pool per bulk_grain — and does
+  // the accounting. Called after validation, so an invalid request never
+  // moves a counter.
   template <class Row, class Answer>
   std::vector<Row> answer_all(std::size_t nqueries,
                               std::chrono::microseconds budget, bool is_knn,
@@ -640,9 +656,10 @@ class QueryBroker {
                             "service");
     Timer timer;
     ViewPtr view = live_.current();
-    par::parallel_for(pool_, 0, nqueries, [&](std::size_t i) {
-      out[i] = answer(*view, i);
-    });
+    par::parallel_for(
+        pool_, 0, nqueries,
+        [&](std::size_t i) { out[i] = answer(*view, i); },
+        bulk_grain(nqueries));
 
     stats_.punt_latency.record_seconds(timer.seconds(), nqueries);
     ServiceStats::add(stats_.punted, nqueries);

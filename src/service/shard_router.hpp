@@ -13,8 +13,8 @@
 // The router starts no thread. A query visits its shards one after the
 // other on the caller's thread, and each shard broker answers inline
 // too (query_broker.hpp), so concurrency comes from the callers and,
-// for bulks above the default grain, from each shard's parallel_for on
-// the shared pool.
+// for a shard group of more than 8 queries, from that shard broker
+// spreading the group over the shared pool.
 //
 // Result contracts are the single-broker ones, byte for byte: every
 // shard answers with exact kernel distances over its disjoint subset of

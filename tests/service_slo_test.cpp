@@ -120,14 +120,14 @@ bool radius_matches(const RadiusRow& got, const RadiusRow& sorted,
 }
 
 // A default broker has one path: each knn/radius/bulk call is answered
-// by a direct index query on the calling thread (bulks above the
-// default grain spread over the pool), so every answered query counts
+// by a direct index query on the calling thread (bulks of more than 8
+// queries spread over the pool), so every answered query counts
 // as punted and nothing is batched or fast-laned. The lattice input
 // puts whole rings of points at equal distance from lattice and
 // half-lattice queries, so the (dist2, id) tie order is exercised.
 TEST(ServiceSlo, DefaultBrokerAnswersEveryQueryDirectly) {
   constexpr std::size_t kSide = 71;
-  constexpr std::size_t kN = 5000;  // takes the parallel_for branch
+  constexpr std::size_t kN = 5000;
   constexpr std::size_t kK = 6;
   constexpr double kRadius = 2.0 / 64.0;
   std::vector<Pt> points;
@@ -152,7 +152,8 @@ TEST(ServiceSlo, DefaultBrokerAnswersEveryQueryDirectly) {
   QueryBroker<2> broker(span, cfg, par::ThreadPool::global());
 
   constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kChunk = 24;
+  constexpr std::size_t kSmall = 8;   // one block: the caller's thread
+  constexpr std::size_t kChunk = 24;  // three blocks over the pool
   std::atomic<std::size_t> wrong{0};
   std::atomic<std::size_t> asked{0};
   std::vector<std::thread> clients;
@@ -166,20 +167,25 @@ TEST(ServiceSlo, DefaultBrokerAnswersEveryQueryDirectly) {
           wrong.fetch_add(1);
         asked.fetch_add(2);
       }
-      // One bulk chunk per thread, below the grain: answered inline.
-      const std::size_t lo = t * kChunk;
-      auto rows = broker.bulk_knn(
-          std::span<const Pt>(queries).subspan(lo, kChunk), kK);
-      for (std::size_t j = 0; j < kChunk; ++j)
-        if (!knn_matches(rows[j], sorted[lo + j], kK)) wrong.fetch_add(1);
-      asked.fetch_add(kChunk);
+      // Two bulks per thread, one on each side of the smallest block:
+      // kSmall is answered inline, kChunk spreads over the pool while
+      // the other clients' bulks do the same.
+      std::size_t lo = t * (kSmall + kChunk);
+      for (std::size_t len : {kSmall, kChunk}) {
+        auto rows = broker.bulk_knn(
+            std::span<const Pt>(queries).subspan(lo, len), kK);
+        for (std::size_t j = 0; j < len; ++j)
+          if (!knn_matches(rows[j], sorted[lo + j], kK)) wrong.fetch_add(1);
+        asked.fetch_add(len);
+        lo += len;
+      }
     });
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(wrong.load(), 0u);
 
-  // A 5000-query all-k-NN with identity excludes: more than the default
-  // grain, so parallel_for spreads it over the pool.
+  // A 5000-query all-k-NN with identity excludes, spread over the pool
+  // in one block per pool thread.
   std::vector<std::uint32_t> identity(kN);
   std::iota(identity.begin(), identity.end(), 0u);
   auto rows = broker.bulk_knn(span, kK, QueryBroker<2>::kNoDeadline,
@@ -207,7 +213,7 @@ TEST(ServiceSlo, DefaultBrokerAnswersEveryQueryDirectly) {
   EXPECT_EQ(s.knn_submitted + s.radius_submitted, s.submitted);
   EXPECT_EQ(s.knn_answered, s.knn_submitted);
   EXPECT_EQ(s.radius_answered, s.radius_submitted);
-  EXPECT_EQ(s.bulk_requests, kThreads + 1);
+  EXPECT_EQ(s.bulk_requests, 2 * kThreads + 1);
 }
 
 }  // namespace
